@@ -17,7 +17,7 @@ from .graph import (
     TemporalGraph,
     VertexAppearance,
     _check_delta,
-    _edge_demand_windows,
+    _demand_intervals,
 )
 from .errors import BadDeltaError
 
@@ -116,14 +116,16 @@ def d1_approx_solve(g: TemporalGraph, delta: int) -> Cover:
     last_start = T - delta + 1
     app_sets = g.appearance_sets()
 
-    ledger = {}  # eid -> set of unsatisfied window starts
-    order = []
+    ledger = []  # eid -> set of unsatisfied window starts
+    by_start = [[] for _ in range(last_start + 1)]  # start -> edge ids, increasing
     for eid, edge in enumerate(g.edges):
-        starts = _edge_demand_windows(edge.appearances, T, delta)
-        ledger[eid] = set(starts)
-        for t in starts:
-            order.append((t, eid))
-    order.sort()
+        open_starts = set()
+        for lo, hi in _demand_intervals(edge.appearances, T, delta):
+            open_starts.update(range(lo, hi + 1))
+            for w in range(lo, hi + 1):
+                by_start[w].append(eid)
+        ledger.append(open_starts)
+    order = ((t, eid) for t, eids in enumerate(by_start) for eid in eids)
 
     adjacent_cache = {}
 

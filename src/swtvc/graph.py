@@ -46,9 +46,6 @@ class UnderlyingEdge(NamedTuple):
     v: int
     appearances: tuple  # strictly increasing time labels
 
-    def endpoints(self):
-        return (self.u, self.v)
-
 
 #: A cover is a duplicate-free set of vertex appearances.
 Cover = set
@@ -172,27 +169,37 @@ def _check_delta(g: TemporalGraph, delta: int) -> None:
         raise BadDeltaError(f"delta {delta} outside [1, {g.T}]")
 
 
-def _edge_demand_windows(appearances: Sequence[int], T: int, delta: int):
-    """Sorted window starts whose window contains an appearance."""
+def _demand_intervals(appearances: Sequence[int], T: int, delta: int) -> list:
+    """An edge's demand window starts as merged, disjoint ``(lo, hi)`` intervals.
+
+    Appearance ``a`` lies in the windows starting at
+    ``max(1, a - delta + 1) .. min(a, T - delta + 1)``; overlapping or
+    adjacent ranges are merged, and the intervals come out in increasing
+    order.  ``delta`` must already have passed ``_check_delta``, so every
+    range is nonempty.
+    """
     last_start = T - delta + 1
-    starts: set = set()
+    out = []
     for a in appearances:
         lo = max(1, a - delta + 1)
         hi = min(a, last_start)
-        if lo <= hi:
-            starts.update(range(lo, hi + 1))
-    return sorted(starts)
+        # appearances increase strictly, so lo and hi never decrease
+        if out and lo <= out[-1][1] + 1:
+            out[-1] = (out[-1][0], hi)
+        else:
+            out.append((lo, hi))
+    return out
 
 
 def demands(g: TemporalGraph, delta: int) -> list:
     """All (edge, window) demands, sorted by (window_start, edge id)."""
     _check_delta(g, delta)
-    out = []
+    by_start = [[] for _ in range(g.T - delta + 2)]
     for eid, edge in enumerate(g.edges):
-        for t in _edge_demand_windows(edge.appearances, g.T, delta):
-            out.append((t, eid))
-    out.sort()
-    return [Demand(edge=eid, window_start=t) for t, eid in out]
+        for lo, hi in _demand_intervals(edge.appearances, g.T, delta):
+            for w in range(lo, hi + 1):
+                by_start[w].append(eid)
+    return [Demand(eid, w) for w, eids in enumerate(by_start) for eid in eids]
 
 
 def validate_cover(g: TemporalGraph, delta: int, cover: Cover) -> Optional[Demand]:
@@ -200,34 +207,61 @@ def validate_cover(g: TemporalGraph, delta: int, cover: Cover) -> Optional[Deman
 
     A demand (e, t) is covered when the cover holds some (w, t') with w an
     endpoint of e, t' in lambda(e) and t' inside the window starting at t.
-    Failures are reported in (window_start, edge id) order.
+    Failures are reported in (window_start, edge id) order: the witness is
+    the same ``demands(g, delta)`` entry a scan of that list would stop at.
+
+    Runs in O(appearances + |cover|) time plus one binary search per
+    covering time, without listing the O(appearances * delta) demands:
+    each edge's sorted covering times are walked across its merged demand
+    intervals, jumping past every window a covering time reaches, until a
+    window with none of them is found.
     """
     _check_delta(g, delta)
+    at: dict = {}  # time step -> cover vertices at that step
     for va in cover:
         v, t = va
         if not (0 <= v < g.n):
             raise OutOfRangeVertexError(f"appearance vertex {v} outside [0, {g.n})")
         if not (1 <= t <= g.T):
             raise OutOfRangeLabelError(f"appearance time {t} outside [1, {g.T}]")
+        at.setdefault(t, set()).add(v)
 
-    # per-edge sorted list of cover times that actually touch the edge
-    covering: dict = {}
-    app_sets = g.appearance_sets()
-    for v, t in cover:
-        for eid in g.adjacency[v]:
-            if t in app_sets[eid]:
-                covering.setdefault(eid, []).append(t)
-    for times in covering.values():
-        times.sort()
+    # per-edge covering times: appended in increasing t, so already sorted
+    edges = g.edges
+    covering = [[] for _ in edges]
+    for t in sorted(at):
+        vs = at[t]
+        for eid in g.time_index[t]:
+            e = edges[eid]
+            if e.u in vs or e.v in vs:
+                covering[eid].append(t)
 
-    for d in demands(g, delta):
-        times = covering.get(d.edge)
-        if not times:
-            return d
-        lo, hi = d.window_start, d.window_start + delta - 1
-        i = bisect_left(times, lo)
-        if i == len(times) or times[i] > hi:
-            return d
+    first = None
+    for eid, edge in enumerate(edges):
+        # a later edge id only wins with a strictly earlier window start
+        limit = first.window_start - 1 if first else g.T
+        w = _first_gap(_demand_intervals(edge.appearances, g.T, delta),
+                       covering[eid], delta, limit)
+        if w is not None:
+            first = Demand(edge=eid, window_start=w)
+    return first
+
+
+def _first_gap(intervals: list, times: list, delta: int, limit: int) -> Optional[int]:
+    """Smallest window start ``w <= limit`` in ``intervals`` whose window
+    ``[w, w + delta - 1]`` holds none of the sorted ``times``, else None."""
+    i = 0
+    for lo, hi in intervals:
+        if lo > limit:
+            return None
+        w = lo
+        hi = min(hi, limit)
+        while w <= hi:
+            i = bisect_left(times, w, i)
+            if i == len(times) or times[i] >= w + delta:
+                return w
+            # times[i] covers every window start in [w, times[i]]
+            w = times[i] + 1
     return None
 
 

@@ -5,6 +5,7 @@ import pytest
 from swtvc import (
     EmptyInputError,
     NonPositiveSampleError,
+    build_graph,
     geometric_mean,
     improvement,
     run_benchmark,
@@ -110,6 +111,13 @@ class TestCli:
 
     def test_unknown_subcommand_exits_2(self):
         assert cli_dispatch(["frobnicate"]) == 2
+
+    def test_solver_error_exits_2(self, tmp_path):
+        # two disjoint edges at one step: star-acov raises NotAStarError
+        tg = tmp_path / "matching.tg"
+        write_native(build_graph(4, 3, [(0, 1, [1]), (2, 3, [1])]), tg)
+        assert cli_dispatch(["solve", "--algo", "star-acov", "--delta", "2",
+                             "--input", str(tg)]) == 2
 
     def test_invalid_cover_exits_1(self, tmp_path, example_graph, capsys):
         tg = tmp_path / "ex.tg"

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +19,7 @@ from swtvc import (
     validate_cover,
 )
 
-from conftest import random_general_graph
+from conftest import random_general_graph, random_star_graph
 
 
 def edge_key(g, eid):
@@ -143,6 +145,20 @@ class TestDemands:
         with pytest.raises(BadDeltaError):
             demands(example_graph, 4)
 
+    def test_matches_window_definition(self):
+        # (e, w) for every start w in 1..T-delta+1 whose window
+        # [w, w+delta-1] holds an appearance of e, sorted by (w, e)
+        graphs = [random_general_graph(s, n=7, T=14, max_edges=9)
+                  for s in range(25)]
+        graphs += [random_star_graph(s, n=9, T=12, d=4) for s in range(10)]
+        for g in graphs:
+            for delta in range(1, g.T + 1):
+                brute = [Demand(eid, w)
+                         for w in range(1, g.T - delta + 2)
+                         for eid, e in enumerate(g.edges)
+                         if any(w <= a <= w + delta - 1 for a in e.appearances)]
+                assert demands(g, delta) == brute
+
 
 class TestValidateCover:
     def test_known_valid_cover(self, example_graph):
@@ -165,6 +181,60 @@ class TestValidateCover:
         base = {(0, 1), (3, 2), (0, 3)}
         assert validate_cover(example_graph, 2, base) is None
         assert validate_cover(example_graph, 2, base | {(2, 2), (1, 2)}) is None
+
+
+def demand_scan(g, delta, cover):
+    """Reference validator: the first demand, in ``demands()`` order, with
+    no cover entry on an endpoint at an appearance inside its window."""
+    for d in demands(g, delta):
+        e = g.edges[d.edge]
+        if not any((v, t) in cover
+                   for t in e.appearances
+                   if d.window_start <= t <= d.window_start + delta - 1
+                   for v in (e.u, e.v)):
+            return d
+    return None
+
+
+def random_covers(g, rng, count):
+    """Empty, full and random covers; random entries may sit at steps the
+    vertex has no edge or on vertices no edge touches."""
+    useful = sorted({(v, t) for e in g.edges for t in e.appearances
+                     for v in (e.u, e.v)})
+    covers = [set(), set(useful)]
+    for _ in range(count):
+        density = rng.random()
+        cover = {pair for pair in useful if rng.random() < density}
+        if g.n and g.T:
+            for _ in range(rng.randint(0, 3)):
+                cover.add((rng.randrange(g.n), rng.randint(1, g.T)))
+        covers.append(cover)
+    return covers
+
+
+class TestValidateCoverDifferential:
+    def check(self, g, rng, count=12):
+        for delta in range(1, max(g.T, 1) + 1):
+            for cover in random_covers(g, rng, count):
+                assert validate_cover(g, delta, cover) == demand_scan(g, delta, cover)
+
+    def test_random_general_graphs(self):
+        rng = random.Random(7)
+        for seed in range(60):
+            self.check(random_general_graph(seed, n=7, T=14, max_edges=9), rng)
+
+    def test_random_star_graphs(self):
+        rng = random.Random(11)
+        for seed in range(20):
+            self.check(random_star_graph(seed, n=9, T=12, d=4, empty_prob=0.2), rng)
+
+    def test_edge_cases(self, example_graph, periodic_worst_case):
+        rng = random.Random(3)
+        # delta = 1 and delta = T are part of every 1..T sweep
+        self.check(example_graph, rng, count=40)
+        self.check(periodic_worst_case, rng, count=40)
+        self.check(build_graph(3, 0, []), rng)
+        self.check(build_graph(2, 1, [(0, 1, [1])]), rng)
 
 
 @settings(max_examples=60, deadline=None)
