@@ -18,6 +18,7 @@ from .graph import (
     VertexAppearance,
     _check_delta,
     _demand_intervals,
+    _window_starts,
 )
 from .errors import BadDeltaError
 
@@ -113,12 +114,11 @@ def d1_approx_solve(g: TemporalGraph, delta: int) -> Cover:
     """
     _check_delta(g, delta)
     T = g.T
-    last_start = T - delta + 1
-    app_sets = g.appearance_sets()
+    edges, index = g.edges, g.time_index
 
     ledger = []  # eid -> set of unsatisfied window starts
-    by_start = [[] for _ in range(last_start + 1)]  # start -> edge ids, increasing
-    for eid, edge in enumerate(g.edges):
+    by_start = [[] for _ in range(T - delta + 2)]  # start -> edge ids, increasing
+    for eid, edge in enumerate(edges):
         open_starts = set()
         for lo, hi in _demand_intervals(edge.appearances, T, delta):
             open_starts.update(range(lo, hi + 1))
@@ -127,50 +127,24 @@ def d1_approx_solve(g: TemporalGraph, delta: int) -> Cover:
         ledger.append(open_starts)
     order = ((t, eid) for t, eids in enumerate(by_start) for eid in eids)
 
-    adjacent_cache = {}
-
-    def adjacent_edges(eid):
-        cached = adjacent_cache.get(eid)
-        if cached is None:
-            e = g.edges[eid]
-            cached = sorted(
-                f for f in set(g.adjacency[e.u]) | set(g.adjacency[e.v]) if f != eid
-            )
-            adjacent_cache[eid] = cached
-        return cached
-
-    def has_open_demand_around(fid, tp):
-        lo = max(1, tp - delta + 1)
-        hi = min(tp, last_start)
-        open_starts = ledger[fid]
-        return any(w in open_starts for w in range(lo, hi + 1))
-
-    def settle(v, tp):
-        for fid in g.adjacency[v]:
-            if tp in app_sets[fid]:
-                lo = max(1, tp - delta + 1)
-                hi = min(tp, last_start)
-                open_starts = ledger[fid]
-                for w in range(lo, hi + 1):
-                    open_starts.discard(w)
-
     cover = set()
     for t, eid in order:
         if t not in ledger[eid]:
             continue
-        edge = g.edges[eid]
+        edge = edges[eid]
+        ends = (edge.u, edge.v)
         apps = edge.appearances
-        lo = bisect_left(apps, t)
-        hi = bisect_right(apps, t + delta - 1)
-        in_window = apps[lo:hi]
+        in_window = apps[bisect_left(apps, t):bisect_right(apps, t + delta - 1)]
 
+        # the snapshot lists edge ids in increasing order
         picked = None
         for tp in reversed(in_window):
-            for fid in adjacent_edges(eid):
-                if tp in app_sets[fid] and has_open_demand_around(fid, tp):
-                    f = g.edges[fid]
-                    shared = ({edge.u, edge.v} & {f.u, f.v}).pop()
-                    picked = (shared, tp)
+            starts = _window_starts(tp, T, delta)
+            for fid in index[tp]:
+                f = edges[fid]
+                if (fid != eid and (f.u in ends or f.v in ends)
+                        and not ledger[fid].isdisjoint(starts)):
+                    picked = (f.u if f.u in ends else f.v, tp)
                     break
             if picked:
                 break
@@ -178,5 +152,9 @@ def d1_approx_solve(g: TemporalGraph, delta: int) -> Cover:
             picked = (chosen_endpoint(g, eid), in_window[-1])
 
         cover.add(VertexAppearance(*picked))
-        settle(*picked)
+        v, tp = picked
+        starts = _window_starts(tp, T, delta)
+        for fid in index[tp]:
+            if v in (edges[fid].u, edges[fid].v):
+                ledger[fid].difference_update(starts)
     return cover

@@ -8,6 +8,7 @@ active edge at t; anything else covers nothing.
 
 from __future__ import annotations
 
+import sys
 from itertools import combinations
 from math import ceil
 
@@ -18,6 +19,7 @@ from .graph import (
     TemporalGraph,
     VertexAppearance,
     _check_delta,
+    _window_starts,
     demands,
 )
 
@@ -37,15 +39,14 @@ def _coverage(g: TemporalGraph, delta: int):
     """Candidates plus, per candidate, the set of demand indices it covers."""
     ds = demands(g, delta)
     index = {d: i for i, d in enumerate(ds)}
-    app_sets = g.appearance_sets()
-    last_start = g.T - delta + 1
     cands = _candidates(g)
     covered = []
     for v, t in cands:
         hit = set()
-        for eid in g.adjacency[v]:
-            if t in app_sets[eid]:
-                for w in range(max(1, t - delta + 1), min(t, last_start) + 1):
+        for eid in g.time_index[t]:
+            e = g.edges[eid]
+            if v == e.u or v == e.v:
+                for w in _window_starts(t, g.T, delta):
                     hit.add(index[(eid, w)])
         covered.append(frozenset(hit))
     return ds, cands, covered
@@ -56,7 +57,8 @@ def exact_solve(g: TemporalGraph, delta: int, budget: int = 2_000_000) -> Cover:
 
     Branches over the candidates covering the open demand with the fewest
     covering candidates (fail-first); prunes with a packing bound.  Raises
-    BudgetExceededError after ``budget`` search nodes.
+    BudgetExceededError after ``budget`` search nodes, and TooLargeError
+    when the search would recurse past the interpreter's recursion limit.
     """
     _check_delta(g, delta)
     ds, cands, covered = _coverage(g, delta)
@@ -93,7 +95,13 @@ def exact_solve(g: TemporalGraph, delta: int, budget: int = 2_000_000) -> Cover:
             dfs(chosen, remaining - covered[ci])
             chosen.pop()
 
-    dfs([], frozenset(range(len(ds))))
+    try:
+        dfs([], frozenset(range(len(ds))))
+    except RecursionError:
+        # the search recurses once per chosen appearance
+        raise TooLargeError(
+            f"search depth exceeds the recursion limit of {sys.getrecursionlimit()}"
+        ) from None
     return {VertexAppearance(v, t) for v, t in best[1]}
 
 

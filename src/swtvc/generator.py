@@ -69,7 +69,8 @@ def generate_always_star(cfg: GeneratorConfig) -> TemporalGraph:
             leaves = []
         leaves = [l for l in leaves if rng.random() < cfg.persistence]
         k = rng.randint(1, cfg.d)
-        candidates = [v for v in range(cfg.n) if v != center and v not in leaves]
+        taken = set(leaves)
+        candidates = [v for v in range(cfg.n) if v != center and v not in taken]
         rng.shuffle(candidates)
         while len(leaves) < k and candidates:
             leaves.append(candidates.pop())

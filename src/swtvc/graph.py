@@ -70,10 +70,6 @@ class TemporalGraph:
     def m(self) -> int:
         return len(self.edges)
 
-    def appearance_sets(self):
-        """Per-edge frozensets of time labels, for O(1) activity tests."""
-        return [frozenset(e.appearances) for e in self.edges]
-
 
 def build_graph(n: int, T: int, edge_list: Iterable) -> TemporalGraph:
     """Construct a TemporalGraph from ``(u, v, appearance_list)`` triples.
@@ -167,6 +163,11 @@ def validate_always_star(g: TemporalGraph) -> Optional[int]:
 def _check_delta(g: TemporalGraph, delta: int) -> None:
     if not (1 <= delta <= g.T) and not (g.T == 0 and delta >= 1):
         raise BadDeltaError(f"delta {delta} outside [1, {g.T}]")
+
+
+def _window_starts(t: int, T: int, delta: int) -> range:
+    """Start steps of the delta-windows that contain time step ``t``."""
+    return range(max(1, t - delta + 1), min(t, T - delta + 1) + 1)
 
 
 def _demand_intervals(appearances: Sequence[int], T: int, delta: int) -> list:

@@ -8,6 +8,8 @@ centers whose edges are covered by other centers inside the window.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+
 from .graph import (
     Cover,
     TemporalGraph,
@@ -46,88 +48,64 @@ def star_sc_solve(g: TemporalGraph, delta: int) -> Cover:
 def star_acov_solve(g: TemporalGraph, delta: int) -> Cover:
     """Sliding-window solver keeping only centers that are actually needed.
 
-    A ring buffer of ``delta`` slots mirrors the current window.  Each slot
-    carries the active edges of one time step plus an inclusion status:
-    included centers are in the output (and stay there), excluded ones are
-    argued away for the current window only, available ones are undecided.
-    Per window, a center is forced in when one of its edges cannot be
-    covered by any other non-excluded center in the window; otherwise the
-    slot is excluded and each of its edges is charged to an already
-    included slot or to the latest available slot where the edge is
-    active.  Exclusion does not carry over: the next window re-examines
-    the slot from scratch, because its former coverers may have slid out.
+    Every time step carries an inclusion status: included centers are in
+    the output (and stay there), excluded ones are argued away for the
+    current window only, available ones are undecided.  Per window, a
+    center is forced in when one of its edges cannot be covered by any
+    other non-excluded center in the window; otherwise the step is
+    excluded and each of its edges is charged to an already included step
+    or to the latest available step where the edge is active.  Exclusion
+    does not carry over: the next window re-examines the step from
+    scratch, because its former coverers may have slid out.
+
+    An edge's steps inside the window come from two binary searches on its
+    appearance list, so a window costs, for every edge of every undecided
+    step in it, O(log |appearances|) plus its appearances in the window:
+    at most O(delta * d * (delta + log T)) for snapshots of at most d edges.
     """
     _check_delta(g, delta)
     centers = _centers(g)
-    T = g.T
-    if T == 0:
-        return set()
-
-    slot_edges = [frozenset()] * delta
-    status = [_AVAILABLE] * delta
-
-    def load(idx, t):
-        es = frozenset(g.time_index[t])
-        slot_edges[idx] = es
-        status[idx] = _AVAILABLE if es else _EXCLUDED
-
-    # preload time steps [1, delta - 1]; during window t the slot
-    # (first + i) % delta holds time step t + i
-    first = delta - 1
-    for t in range(1, delta):
-        load(t - 1, t)
+    index, edges = g.time_index, g.edges
+    status = [_AVAILABLE if eids else _EXCLUDED for eids in index]
 
     cover = set()
-    for t in range(1, T - delta + 1 + 1):
-        load(first, t + delta - 1)
-        first = (first + 1) % delta
-
+    for t in range(1, g.T - delta + 2):
+        end = t + delta - 1
+        window = range(t, end + 1)
         # exclusions were only valid for the previous window
-        for idx in range(delta):
-            if status[idx] == _EXCLUDED and slot_edges[idx]:
-                status[idx] = _AVAILABLE
+        for s in window:
+            if status[s] == _EXCLUDED and index[s]:
+                status[s] = _AVAILABLE
 
-        for i in range(delta):
-            idx = (first + i) % delta
-            if status[idx] == _INCLUDED or not slot_edges[idx]:
+        for s in window:
+            if status[s] != _AVAILABLE:
+                continue
+            plans = []  # (latest available other step or end + 1, eid, steps)
+            for eid in index[s]:
+                apps = edges[eid].appearances
+                steps = apps[bisect_left(apps, t):bisect_right(apps, end)]
+                included, latest = False, end + 1
+                for u in steps:
+                    if u == s:
+                        continue
+                    if status[u] == _INCLUDED:
+                        included = True
+                    elif status[u] == _AVAILABLE:
+                        latest = u
+                if not included and latest > end:
+                    plans = None  # no other center can cover this edge
+                    break
+                plans.append((latest, eid, steps))
+            if plans is None:
+                cover.add(VertexAppearance(centers[s], s))
+                status[s] = _INCLUDED
                 continue
 
-            def coverers(eid):
-                """Offsets of an included and of the latest available slot
-                != i where the edge is active (either may be None)."""
-                included = None
-                latest = None
-                for j in range(delta):
-                    if j == i:
-                        continue
-                    jdx = (first + j) % delta
-                    if eid not in slot_edges[jdx]:
-                        continue
-                    if status[jdx] == _INCLUDED:
-                        included = j
-                    elif status[jdx] == _AVAILABLE:
-                        latest = j
-                return included, latest
-
-            plans = [(eid, *coverers(eid)) for eid in sorted(slot_edges[idx])]
-            if any(inc is None and lat is None for _, inc, lat in plans):
-                cover.add(VertexAppearance(centers[t + i], t + i))
-                status[idx] = _INCLUDED
-                continue
-
-            status[idx] = _EXCLUDED
+            status[s] = _EXCLUDED
             # most constrained edge first, so one inclusion serves the rest
-            plans.sort(key=lambda p: (p[2] if p[2] is not None else delta, p[0]))
-            for eid, inc, lat in plans:
-                covered = inc is not None or any(
-                    status[(first + j) % delta] == _INCLUDED
-                    and eid in slot_edges[(first + j) % delta]
-                    for j in range(delta) if j != i
-                )
-                if covered:
-                    continue
-                jdx = (first + lat) % delta
-                cover.add(VertexAppearance(centers[t + lat], t + lat))
-                status[jdx] = _INCLUDED
+            for latest, _, steps in sorted(plans):
+                if not any(status[u] == _INCLUDED for u in steps):
+                    cover.add(VertexAppearance(centers[latest], latest))
+                    status[latest] = _INCLUDED
 
     return cover

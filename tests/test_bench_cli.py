@@ -9,6 +9,7 @@ from swtvc import (
     geometric_mean,
     improvement,
     run_benchmark,
+    worst_case_acov_instance,
     write_native,
     write_cover,
 )
@@ -108,6 +109,13 @@ class TestCli:
         write_native(periodic_worst_case, tg)
         assert cli_dispatch(["solve", "--algo", "star-sc", "--delta", "0",
                              "--input", str(tg)]) == 2
+
+    def test_exact_too_deep_exits_2(self, tmp_path, capsys):
+        tg = tmp_path / "deep.tg"
+        write_native(worst_case_acov_instance(3, 1200), tg)
+        assert cli_dispatch(["solve", "--algo", "exact", "--delta", "3",
+                             "--budget", "50000", "--input", str(tg)]) == 2
+        assert "recursion limit" in capsys.readouterr().err
 
     def test_unknown_subcommand_exits_2(self):
         assert cli_dispatch(["frobnicate"]) == 2

@@ -1,3 +1,4 @@
+from bisect import bisect_left, bisect_right
 from itertools import combinations
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from swtvc import (
     BadDeltaError,
+    VertexAppearance,
     build_graph,
     chosen_endpoint,
     d1_approx_solve,
@@ -13,7 +15,10 @@ from swtvc import (
     d_approx_solve,
     single_edge_exact,
     validate_cover,
+    worst_case_acov_instance,
+    worst_case_sc_instance,
 )
+from swtvc.graph import _demand_intervals
 
 from conftest import random_general_graph, random_star_graph
 
@@ -106,6 +111,106 @@ class TestD1Approx:
         g = build_graph(3, 2, [(0, 1, [1, 2]), (1, 2, [1, 2])])
         cover = d1_approx_solve(g, 2)
         assert cover == {(1, 2)}
+
+
+def adjacency_d1(g, delta):
+    """Reference: the earlier d-1-approx, which tests activity with
+    per-edge appearance sets and scans each edge's underlying neighbours."""
+    T = g.T
+    last_start = T - delta + 1
+    app_sets = [frozenset(e.appearances) for e in g.edges]
+
+    ledger = []
+    by_start = [[] for _ in range(last_start + 1)]
+    for eid, edge in enumerate(g.edges):
+        open_starts = set()
+        for lo, hi in _demand_intervals(edge.appearances, T, delta):
+            open_starts.update(range(lo, hi + 1))
+            for w in range(lo, hi + 1):
+                by_start[w].append(eid)
+        ledger.append(open_starts)
+    order = ((t, eid) for t, eids in enumerate(by_start) for eid in eids)
+
+    adjacent_cache = {}
+
+    def adjacent_edges(eid):
+        cached = adjacent_cache.get(eid)
+        if cached is None:
+            e = g.edges[eid]
+            cached = sorted(
+                f for f in set(g.adjacency[e.u]) | set(g.adjacency[e.v]) if f != eid
+            )
+            adjacent_cache[eid] = cached
+        return cached
+
+    def has_open_demand_around(fid, tp):
+        lo = max(1, tp - delta + 1)
+        hi = min(tp, last_start)
+        open_starts = ledger[fid]
+        return any(w in open_starts for w in range(lo, hi + 1))
+
+    def settle(v, tp):
+        for fid in g.adjacency[v]:
+            if tp in app_sets[fid]:
+                lo = max(1, tp - delta + 1)
+                hi = min(tp, last_start)
+                open_starts = ledger[fid]
+                for w in range(lo, hi + 1):
+                    open_starts.discard(w)
+
+    cover = set()
+    for t, eid in order:
+        if t not in ledger[eid]:
+            continue
+        edge = g.edges[eid]
+        apps = edge.appearances
+        lo = bisect_left(apps, t)
+        hi = bisect_right(apps, t + delta - 1)
+        in_window = apps[lo:hi]
+
+        picked = None
+        for tp in reversed(in_window):
+            for fid in adjacent_edges(eid):
+                if tp in app_sets[fid] and has_open_demand_around(fid, tp):
+                    f = g.edges[fid]
+                    shared = ({edge.u, edge.v} & {f.u, f.v}).pop()
+                    picked = (shared, tp)
+                    break
+            if picked:
+                break
+        if picked is None:
+            picked = (chosen_endpoint(g, eid), in_window[-1])
+
+        cover.add(VertexAppearance(*picked))
+        settle(*picked)
+    return cover
+
+
+class TestD1ApproxDifferential:
+    """d-1-approx returns the same set as the adjacency-scan reference."""
+
+    def check(self, g):
+        for delta in range(1, max(g.T, 1) + 1):
+            assert d1_approx_solve(g, delta) == adjacency_d1(g, delta)
+
+    def test_random_general_graphs(self):
+        for seed in range(150):
+            self.check(random_general_graph(seed, n=8, T=14, max_edges=12))
+
+    def test_random_star_graphs(self):
+        for seed in range(60):
+            self.check(random_star_graph(seed, n=10, T=14, d=5, empty_prob=0.2))
+
+    def test_worst_case_families(self):
+        for delta in range(2, 6):
+            for reps in (1, 3):
+                self.check(worst_case_acov_instance(delta, reps))
+                self.check(worst_case_acov_instance(delta, reps, 3 * delta))
+            self.check(worst_case_sc_instance(delta))
+
+    def test_empty_graphs(self):
+        self.check(build_graph(3, 5, []))
+        self.check(build_graph(3, 0, []))
 
 
 class TestAllSolversValid:

@@ -11,6 +11,7 @@ from swtvc import (
     star_acov_solve,
     validate_always_star,
     validate_cover,
+    worst_case_acov_instance,
     worst_case_sc_instance,
 )
 
@@ -35,6 +36,12 @@ class TestExactSolve:
         g = random_general_graph(3, n=8, T=8, max_edges=10)
         with pytest.raises(BudgetExceededError):
             exact_solve(g, 2, budget=1)
+
+    def test_search_deeper_than_recursion_limit(self):
+        # OPT = 1200 chosen appearances, one recursion level each
+        g = worst_case_acov_instance(3, 1200)
+        with pytest.raises(TooLargeError):
+            exact_solve(g, 3, budget=50_000)
 
 
 class TestBruteForce:

@@ -3,15 +3,19 @@ import pytest
 from swtvc import (
     BadDeltaError,
     NotAStarError,
+    VertexAppearance,
     build_graph,
     exact_solve,
     star_acov_solve,
+    star_center_at,
     star_sc_solve,
+    validate_always_star,
     validate_cover,
+    worst_case_acov_instance,
     worst_case_sc_instance,
 )
 
-from conftest import random_star_graph
+from conftest import random_general_graph, random_star_graph
 
 
 class TestStarSc:
@@ -85,3 +89,113 @@ class TestStarAcov:
             star_acov_solve(periodic_worst_case, 0)
         with pytest.raises(BadDeltaError):
             star_acov_solve(periodic_worst_case, 7)
+
+
+_EXCLUDED, _AVAILABLE, _INCLUDED = 0, 1, 2
+
+
+def ring_buffer_acov(g, delta):
+    """Reference: the earlier ring-buffer implementation of star-acov, which
+    rescans all delta slots of the window for every edge it plans."""
+    centers = [None] + [star_center_at(g, t) for t in range(1, g.T + 1)]
+    T = g.T
+    if T == 0:
+        return set()
+
+    slot_edges = [frozenset()] * delta
+    status = [_AVAILABLE] * delta
+
+    def load(idx, t):
+        es = frozenset(g.time_index[t])
+        slot_edges[idx] = es
+        status[idx] = _AVAILABLE if es else _EXCLUDED
+
+    # during window t the slot (first + i) % delta holds time step t + i
+    first = delta - 1
+    for t in range(1, delta):
+        load(t - 1, t)
+
+    cover = set()
+    for t in range(1, T - delta + 1 + 1):
+        load(first, t + delta - 1)
+        first = (first + 1) % delta
+
+        for idx in range(delta):
+            if status[idx] == _EXCLUDED and slot_edges[idx]:
+                status[idx] = _AVAILABLE
+
+        for i in range(delta):
+            idx = (first + i) % delta
+            if status[idx] == _INCLUDED or not slot_edges[idx]:
+                continue
+
+            def coverers(eid):
+                included = None
+                latest = None
+                for j in range(delta):
+                    if j == i:
+                        continue
+                    jdx = (first + j) % delta
+                    if eid not in slot_edges[jdx]:
+                        continue
+                    if status[jdx] == _INCLUDED:
+                        included = j
+                    elif status[jdx] == _AVAILABLE:
+                        latest = j
+                return included, latest
+
+            plans = [(eid, *coverers(eid)) for eid in sorted(slot_edges[idx])]
+            if any(inc is None and lat is None for _, inc, lat in plans):
+                cover.add(VertexAppearance(centers[t + i], t + i))
+                status[idx] = _INCLUDED
+                continue
+
+            status[idx] = _EXCLUDED
+            plans.sort(key=lambda p: (p[2] if p[2] is not None else delta, p[0]))
+            for eid, inc, lat in plans:
+                covered = inc is not None or any(
+                    status[(first + j) % delta] == _INCLUDED
+                    and eid in slot_edges[(first + j) % delta]
+                    for j in range(delta) if j != i
+                )
+                if covered:
+                    continue
+                jdx = (first + lat) % delta
+                cover.add(VertexAppearance(centers[t + lat], t + lat))
+                status[jdx] = _INCLUDED
+
+    return cover
+
+
+class TestStarAcovDifferential:
+    """star-acov returns the same set as the ring-buffer reference."""
+
+    def check(self, g):
+        for delta in range(1, max(g.T, 1) + 1):
+            assert star_acov_solve(g, delta) == ring_buffer_acov(g, delta)
+
+    def test_random_star_graphs(self):
+        for seed in range(80):
+            self.check(random_star_graph(seed, n=10, T=14, d=5, empty_prob=0.2))
+        for seed in range(10):
+            self.check(random_star_graph(seed, n=40, T=30, d=12, underlying=True))
+
+    def test_always_star_general_graphs(self):
+        checked = 0
+        for seed in range(400):
+            g = random_general_graph(seed, n=6, T=12, max_edges=5, app_prob=0.3)
+            if validate_always_star(g) is None:
+                self.check(g)
+                checked += 1
+        assert checked >= 200
+
+    def test_worst_case_families(self):
+        for delta in range(2, 6):
+            for reps in (1, 3):
+                self.check(worst_case_acov_instance(delta, reps))
+                self.check(worst_case_acov_instance(delta, reps, 3 * delta))
+            self.check(worst_case_sc_instance(delta))
+
+    def test_empty_graphs(self):
+        self.check(build_graph(3, 5, []))
+        self.check(build_graph(3, 0, []))
