@@ -13,6 +13,7 @@ from .degree import d1_approx_solve, d_approx_s_solve, d_approx_solve
 from .errors import (
     EmptyInputError,
     NonPositiveSampleError,
+    ParseError,
     TvcError,
 )
 from .exact import exact_solve
@@ -140,8 +141,14 @@ def write_csv(records: Sequence[BenchRecord], path) -> None:
 
 
 def read_csv(path) -> List[dict]:
+    """Rows of a benchmark CSV; ParseError when a ``CSV_HEADER`` column is
+    missing."""
     with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        missing = [c for c in CSV_HEADER if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ParseError(1, f"not a benchmark CSV, missing columns {missing}")
+        return list(reader)
 
 
 def compare_csv(path, algo_a: str, algo_b: str):

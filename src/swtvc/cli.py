@@ -104,6 +104,14 @@ def _cmd_convert_snap(args):
     return 0
 
 
+def _report_invalid(g, witness):
+    """Print the uncovered demand ``validate_cover`` returned, the edge by
+    its endpoints."""
+    e = g.edges[witness.edge]
+    print(f"INVALID: uncovered demand edge=({e.u},{e.v}) "
+          f"window_start={witness.window_start}")
+
+
 def _cmd_solve(args):
     g = formats.parse_native(args.input)
     solver = bench_mod.ALGORITHMS[args.algo]
@@ -117,8 +125,7 @@ def _cmd_solve(args):
     if args.validate:
         witness = validate_cover(g, args.delta, cover)
         if witness is not None:
-            print(f"INVALID: uncovered demand edge={witness.edge} "
-                  f"window_start={witness.window_start}")
+            _report_invalid(g, witness)
             return 1
         print("valid")
     return 0
@@ -129,9 +136,7 @@ def _cmd_validate(args):
     cover = formats.parse_cover(args.cover)
     witness = validate_cover(g, args.delta, cover)
     if witness is not None:
-        e = g.edges[witness.edge]
-        print(f"INVALID: uncovered demand edge=({e.u},{e.v}) "
-              f"window_start={witness.window_start}")
+        _report_invalid(g, witness)
         return 1
     print(f"valid cover of size {len(cover)}")
     return 0

@@ -8,7 +8,6 @@ active edge at t; anything else covers nothing.
 
 from __future__ import annotations
 
-import sys
 from itertools import combinations
 from math import ceil
 
@@ -24,85 +23,72 @@ from .graph import (
 )
 
 
-def _candidates(g: TemporalGraph):
-    """All (v, t) pairs where v is an endpoint of an edge active at t."""
-    seen = set()
-    for t in range(1, g.T + 1):
-        for eid in g.time_index[t]:
-            e = g.edges[eid]
-            seen.add((e.u, t))
-            seen.add((e.v, t))
-    return sorted(seen)
-
-
 def _coverage(g: TemporalGraph, delta: int):
-    """Candidates plus, per candidate, the set of demand indices it covers."""
+    """Demands, the sorted candidates (v, t) where v is an endpoint of an
+    edge active at t, and per candidate the set of demand indices it covers.
+
+    The indices follow ``demands()`` order; the search's branch order, and
+    with it which optimum comes back, depends on that numbering.
+    """
     ds = demands(g, delta)
     index = {d: i for i, d in enumerate(ds)}
-    cands = _candidates(g)
-    covered = []
-    for v, t in cands:
-        hit = set()
+    hits = {}
+    for t in range(1, g.T + 1):
+        starts = _window_starts(t, g.T, delta)
         for eid in g.time_index[t]:
             e = g.edges[eid]
-            if v == e.u or v == e.v:
-                for w in _window_starts(t, g.T, delta):
-                    hit.add(index[(eid, w)])
-        covered.append(frozenset(hit))
-    return ds, cands, covered
+            ids = [index[(eid, w)] for w in starts]
+            for v in (e.u, e.v):
+                hits.setdefault((v, t), set()).update(ids)
+    cands = sorted(hits)
+    return ds, cands, [frozenset(hits[c]) for c in cands]
 
 
 def exact_solve(g: TemporalGraph, delta: int, budget: int = 2_000_000) -> Cover:
     """Minimum-cardinality valid cover via branch and bound.
 
     Branches over the candidates covering the open demand with the fewest
-    covering candidates (fail-first); prunes with a packing bound.  Raises
-    BudgetExceededError after ``budget`` search nodes, and TooLargeError
-    when the search would recurse past the interpreter's recursion limit.
+    covering candidates (fail-first); prunes with a packing bound.  The
+    search runs on an explicit stack in depth-first preorder, so its depth
+    is not tied to the interpreter's recursion limit.  Pending branches
+    share their parent's open-demand set: memory is O(depth * |demands|).
+    Raises BudgetExceededError after ``budget`` search nodes.
     """
     _check_delta(g, delta)
     ds, cands, covered = _coverage(g, delta)
     if not ds:
         return set()
 
-    # candidates covering each demand
+    # candidates covering each demand, and how many
     by_demand = [[] for _ in ds]
     for ci, hit in enumerate(covered):
         for di in hit:
             by_demand[di].append(ci)
+    fanout = [len(cis) for cis in by_demand]
 
     # warm start: the d-approximation is always valid
-    incumbent = d_approx_s_solve(g, delta)
-    best = [len(incumbent), set(incumbent)]
-    max_cov = max((len(h) for h in covered), default=1) or 1
+    best = d_approx_s_solve(g, delta)
+    max_cov = max(map(len, covered))
 
-    nodes = [0]
-
-    def dfs(chosen, remaining):
-        nodes[0] += 1
-        if nodes[0] > budget:
+    # an entry is a chosen path, the demands open before its last pick and
+    # the demands that pick covers; siblings share their parent's open set
+    nodes = 0
+    stack = [((), frozenset(range(len(ds))), frozenset())]
+    while stack:
+        chosen, remaining, hit = stack.pop()
+        remaining -= hit
+        nodes += 1
+        if nodes > budget:
             raise BudgetExceededError(f"node budget {budget} exhausted")
         if not remaining:
-            if len(chosen) < best[0]:
-                best[0] = len(chosen)
-                best[1] = set(chosen)
-            return
-        if len(chosen) + ceil(len(remaining) / max_cov) >= best[0]:
-            return
-        target = min(remaining, key=lambda di: len(by_demand[di]))
-        for ci in by_demand[target]:
-            chosen.append(cands[ci])
-            dfs(chosen, remaining - covered[ci])
-            chosen.pop()
-
-    try:
-        dfs([], frozenset(range(len(ds))))
-    except RecursionError:
-        # the search recurses once per chosen appearance
-        raise TooLargeError(
-            f"search depth exceeds the recursion limit of {sys.getrecursionlimit()}"
-        ) from None
-    return {VertexAppearance(v, t) for v, t in best[1]}
+            if len(chosen) < len(best):
+                best = chosen
+        elif len(chosen) + ceil(len(remaining) / max_cov) < len(best):
+            target = min(remaining, key=fanout.__getitem__)
+            # pushed in reverse so they pop in candidate order
+            for ci in reversed(by_demand[target]):
+                stack.append((chosen + (cands[ci],), remaining, covered[ci]))
+    return {VertexAppearance(v, t) for v, t in best}
 
 
 def brute_force_solve(g: TemporalGraph, delta: int, max_candidates: int = 24) -> Cover:

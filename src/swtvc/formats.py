@@ -22,6 +22,15 @@ from .errors import (
 from .graph import Cover, TemporalGraph, VertexAppearance, build_graph
 
 
+def _content_lines(path):
+    """``(line number, stripped line)`` of each line of ``path`` that is
+    neither blank nor a ``#`` comment; numbers are 1-based."""
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
 def write_native(g: TemporalGraph, path) -> None:
     lines = [f"{g.n} {g.m} {g.T}"]
     for e in g.edges:
@@ -31,12 +40,7 @@ def write_native(g: TemporalGraph, path) -> None:
 
 
 def parse_native(path) -> TemporalGraph:
-    rows = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        rows.append((lineno, line))
+    rows = list(_content_lines(path))
     if not rows:
         raise ParseError(1, "missing header line")
 
@@ -89,17 +93,14 @@ def convert_snap(path, bucket_seconds: int = 3600, keep_gaps: bool = True) -> Te
         raise ParseError(0, f"bucket_seconds must be positive, got {bucket_seconds}")
     contacts = []
     ids = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _content_lines(path):
         fields = line.split()
         if len(fields) < 3:
             raise ParseError(lineno, f"need 'src dst timestamp', got {line!r}")
         src, dst = fields[0], fields[1]
         try:
             ts = int(float(fields[2]))
-        except ValueError:
+        except (ValueError, OverflowError):  # not a number, nan, inf
             raise ParseError(lineno, f"bad timestamp {fields[2]!r}")
         if ts < 0:
             raise NegativeTimestampError(f"line {lineno}: timestamp {ts} < 0")
@@ -137,10 +138,7 @@ def write_cover(cover: Cover, path) -> None:
 
 def parse_cover(path) -> Cover:
     cover = set()
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _content_lines(path):
         fields = line.split()
         if len(fields) != 2:
             raise ParseError(lineno, f"cover line must be 'v t', got {line!r}")

@@ -3,8 +3,10 @@ import csv
 import pytest
 
 from swtvc import (
+    ALGORITHMS,
     EmptyInputError,
     NonPositiveSampleError,
+    ParseError,
     build_graph,
     geometric_mean,
     improvement,
@@ -75,6 +77,13 @@ class TestRunBenchmark:
                                 repetitions=1)
         assert records[0].status == "error:BadDeltaError"
 
+    def test_compare_csv_without_bench_columns(self, tmp_path):
+        for text in ("a,b\n1,2\n", "", ",".join(CSV_HEADER[:-1]) + "\n"):
+            out = tmp_path / "other.csv"
+            out.write_text(text)
+            with pytest.raises(ParseError):
+                compare_csv(out, "star-acov", "star-sc")
+
     def test_compare_csv(self, tmp_path):
         g = random_star_graph(2, n=16, T=16, d=4)
         out = tmp_path / "cmp.csv"
@@ -110,12 +119,13 @@ class TestCli:
         assert cli_dispatch(["solve", "--algo", "star-sc", "--delta", "0",
                              "--input", str(tg)]) == 2
 
-    def test_exact_too_deep_exits_2(self, tmp_path, capsys):
+    def test_exact_deep_out_of_budget_exits_2(self, tmp_path, capsys):
+        # OPT = 1200 picks, deeper than the recursion limit
         tg = tmp_path / "deep.tg"
         write_native(worst_case_acov_instance(3, 1200), tg)
         assert cli_dispatch(["solve", "--algo", "exact", "--delta", "3",
-                             "--budget", "50000", "--input", str(tg)]) == 2
-        assert "recursion limit" in capsys.readouterr().err
+                             "--budget", "200", "--input", str(tg)]) == 2
+        assert "node budget 200 exhausted" in capsys.readouterr().err
 
     def test_unknown_subcommand_exits_2(self):
         assert cli_dispatch(["frobnicate"]) == 2
@@ -137,6 +147,22 @@ class TestCli:
         out = capsys.readouterr().out
         assert "(0,1)" in out and "window_start=1" in out
 
+    def test_solve_and_validate_report_invalid_alike(self, tmp_path, example_graph,
+                                                     capsys, monkeypatch):
+        tg = tmp_path / "ex.tg"
+        cov = tmp_path / "bad.cov"
+        write_native(example_graph, tg)
+        write_cover({(3, 2)}, cov)
+        assert cli_dispatch(["validate", "--input", str(tg), "--delta", "2",
+                             "--cover", str(cov)]) == 1
+        validate_line = capsys.readouterr().out.splitlines()[-1]
+        monkeypatch.setitem(ALGORITHMS, "d-approx", lambda g, delta: {(3, 2)})
+        assert cli_dispatch(["solve", "--algo", "d-approx", "--delta", "2",
+                             "--input", str(tg), "--validate"]) == 1
+        solve_line = capsys.readouterr().out.splitlines()[-1]
+        assert solve_line == validate_line
+        assert validate_line == "INVALID: uncovered demand edge=(0,1) window_start=1"
+
     def test_bench_and_compare(self, tmp_path):
         tg = tmp_path / "g.tg"
         out = tmp_path / "bench.csv"
@@ -147,6 +173,13 @@ class TestCli:
         assert cli_dispatch(["compare", "--csv", str(out), "--algo-a",
                              "star-acov", "--algo-b", "star-sc"]) == 0
 
+    def test_compare_without_bench_columns_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "other.csv"
+        out.write_text("a,b\n1,2\n")
+        assert cli_dispatch(["compare", "--csv", str(out), "--algo-a",
+                             "star-acov", "--algo-b", "star-sc"]) == 2
+        assert "missing columns" in capsys.readouterr().err
+
     def test_convert_snap(self, tmp_path):
         raw = tmp_path / "raw.txt"
         tg = tmp_path / "conv.tg"
@@ -154,3 +187,10 @@ class TestCli:
         assert cli_dispatch(["convert-snap", "--input", str(raw),
                              "--output", str(tg)]) == 0
         assert tg.exists()
+
+    def test_convert_snap_infinite_timestamp_exits_2(self, tmp_path, capsys):
+        raw = tmp_path / "raw.txt"
+        raw.write_text("1 2 3600\n2 1 inf\n")
+        assert cli_dispatch(["convert-snap", "--input", str(raw),
+                             "--output", str(tmp_path / "conv.tg")]) == 2
+        assert "line 2: bad timestamp 'inf'" in capsys.readouterr().err

@@ -1,12 +1,18 @@
+import sys
+from math import ceil
+
 import pytest
 
 from swtvc import (
     BudgetExceededError,
+    VertexAppearance,
     TooLargeError,
     brute_force_solve,
     build_graph,
     d1_approx_solve,
+    d_approx_s_solve,
     d_approx_solve,
+    demands,
     exact_solve,
     star_acov_solve,
     validate_always_star,
@@ -14,6 +20,9 @@ from swtvc import (
     worst_case_acov_instance,
     worst_case_sc_instance,
 )
+
+from swtvc.exact import _coverage
+from swtvc.graph import _window_starts
 
 from conftest import random_general_graph, random_star_graph
 
@@ -37,11 +46,28 @@ class TestExactSolve:
         with pytest.raises(BudgetExceededError):
             exact_solve(g, 2, budget=1)
 
-    def test_search_deeper_than_recursion_limit(self):
-        # OPT = 1200 chosen appearances, one recursion level each
+    def test_search_deeper_than_recursion_limit_is_solved(self):
+        # With delta = 1, edges (0,1) and (0,2) at steps 1..k need (0, t)
+        # at each of them, and the four extra edges at step k + 1 need
+        # (1, k+1) and (2, k+1): OPT = k + 2 picks, one search level each.
+        # The extras give vertices 1 and 2 the larger degree, so the
+        # d-approximation warm start takes both of them at every step and
+        # the search has to reach a leaf to beat it.
+        k = sys.getrecursionlimit()
+        g = build_graph(7, k + 1, [(0, 1, range(1, k + 1)), (0, 2, range(1, k + 1)),
+                                   (1, 3, [k + 1]), (1, 4, [k + 1]),
+                                   (2, 5, [k + 1]), (2, 6, [k + 1])])
+        assert len(d_approx_s_solve(g, 1)) == 2 * k + 2
+        cover = exact_solve(g, 1)
+        assert len(cover) == k + 2
+        assert validate_cover(g, 1, cover) is None
+
+    def test_deep_instance_runs_out_of_budget(self):
+        # OPT = 1200 picks on the periodic family; a small budget stops the
+        # search with the documented error, not a RecursionError
         g = worst_case_acov_instance(3, 1200)
-        with pytest.raises(TooLargeError):
-            exact_solve(g, 3, budget=50_000)
+        with pytest.raises(BudgetExceededError):
+            exact_solve(g, 3, budget=200)
 
 
 class TestBruteForce:
@@ -91,3 +117,111 @@ class TestOracleAgreement:
         for delta in (2, 3, 4):
             g = worst_case_sc_instance(delta)
             assert len(exact_solve(g, delta)) == 1
+
+
+def reference_coverage(g, delta):
+    """Reference: the earlier coverage scan, a sorted candidate list first,
+    then each candidate's demands from the snapshot at its step."""
+    ds = demands(g, delta)
+    index = {d: i for i, d in enumerate(ds)}
+    seen = set()
+    for t in range(1, g.T + 1):
+        for eid in g.time_index[t]:
+            e = g.edges[eid]
+            seen.add((e.u, t))
+            seen.add((e.v, t))
+    cands = sorted(seen)
+    covered = []
+    for v, t in cands:
+        hit = set()
+        for eid in g.time_index[t]:
+            e = g.edges[eid]
+            if v == e.u or v == e.v:
+                for w in _window_starts(t, g.T, delta):
+                    hit.add(index[(eid, w)])
+        covered.append(frozenset(hit))
+    return ds, cands, covered
+
+
+def recursive_exact(g, delta, budget):
+    """Reference: the earlier branch and bound, one recursion level per
+    chosen appearance, children visited in candidate order."""
+    ds, cands, covered = reference_coverage(g, delta)
+    if not ds:
+        return set()
+    by_demand = [[] for _ in ds]
+    for ci, hit in enumerate(covered):
+        for di in hit:
+            by_demand[di].append(ci)
+    incumbent = d_approx_s_solve(g, delta)
+    best = [len(incumbent), set(incumbent)]
+    max_cov = max((len(h) for h in covered), default=1) or 1
+    nodes = [0]
+
+    def dfs(chosen, remaining):
+        nodes[0] += 1
+        if nodes[0] > budget:
+            raise BudgetExceededError(f"node budget {budget} exhausted")
+        if not remaining:
+            if len(chosen) < best[0]:
+                best[0] = len(chosen)
+                best[1] = set(chosen)
+            return
+        if len(chosen) + ceil(len(remaining) / max_cov) >= best[0]:
+            return
+        target = min(remaining, key=lambda di: len(by_demand[di]))
+        for ci in by_demand[target]:
+            chosen.append(cands[ci])
+            dfs(chosen, remaining - covered[ci])
+            chosen.pop()
+
+    dfs([], frozenset(range(len(ds))))
+    return {VertexAppearance(v, t) for v, t in best[1]}
+
+
+class TestExactDifferential:
+    """The explicit-stack search returns the recursive reference's cover, or
+    runs out of budget exactly where it does; brute force sees the same
+    candidates and coverage."""
+
+    BUDGETS = (20_000, 40, 1)
+
+    def check(self, g):
+        """Compare at every delta and budget; returns the (budget, outcome)
+        pairs seen."""
+        outcomes = set()
+        for delta in range(1, max(g.T, 1) + 1):
+            assert _coverage(g, delta) == reference_coverage(g, delta)
+            for budget in self.BUDGETS:
+                try:
+                    expected = recursive_exact(g, delta, budget)
+                except BudgetExceededError:
+                    outcomes.add((budget, "exhausted"))
+                    with pytest.raises(BudgetExceededError):
+                        exact_solve(g, delta, budget=budget)
+                else:
+                    outcomes.add((budget, "decided"))
+                    assert exact_solve(g, delta, budget=budget) == expected
+        return outcomes
+
+    def test_random_general_graphs(self):
+        outcomes = set()
+        for seed in range(60):
+            outcomes |= self.check(random_general_graph(seed, n=6, T=10, max_edges=7))
+        # the corpus exercises both a decided and an exhausted search
+        assert {(40, "decided"), (40, "exhausted"), (20_000, "decided")} <= outcomes
+
+    def test_random_star_graphs(self):
+        for seed in range(40):
+            self.check(random_star_graph(seed, n=7, T=10, d=3, empty_prob=0.2))
+
+    def test_worst_case_families(self):
+        for delta in range(2, 5):
+            for reps in (1, 3):
+                self.check(worst_case_acov_instance(delta, reps))
+                self.check(worst_case_acov_instance(delta, reps, delta + 2))
+            self.check(worst_case_sc_instance(delta))
+
+    def test_empty_graphs(self):
+        self.check(build_graph(3, 5, []))
+        self.check(build_graph(3, 0, []))

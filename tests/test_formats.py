@@ -94,6 +94,14 @@ class TestConvertSnap:
         with pytest.raises(NegativeTimestampError):
             convert_snap(path)
 
+    @pytest.mark.parametrize("ts", ["inf", "-inf", "1e400", "nan", "x"])
+    def test_unusable_timestamp(self, tmp_path, ts):
+        path = tmp_path / "raw.txt"
+        path.write_text(f"1 2 0\n1 2 {ts}\n")
+        with pytest.raises(ParseError) as exc:
+            convert_snap(path)
+        assert exc.value.line == 2
+
     def test_extra_columns_ignored(self, tmp_path):
         path = tmp_path / "raw.txt"
         path.write_text("a b 0 weight=3\nb c 3600 x y z\n")
@@ -141,6 +149,35 @@ class TestCoverFiles:
         path.write_text("0 1 2\n")
         with pytest.raises(ParseError):
             parse_cover(path)
+
+
+class TestParseErrorLines:
+    """Blank and comment lines count toward the reported 1-based line."""
+
+    @staticmethod
+    def line_of(parse, path):
+        with pytest.raises(ParseError) as exc:
+            parse(path)
+        return exc.value.line
+
+    def test_native(self, tmp_path):
+        path = tmp_path / "bad.tg"
+        path.write_text("# instance\n\n2 1 3\n   \n# edge\n0 1 x 1\n")
+        assert self.line_of(parse_native, path) == 6
+        path.write_text("\n# no header\n2 x 3\n")
+        assert self.line_of(parse_native, path) == 3
+        path.write_text("\n# only comments\n")
+        assert self.line_of(parse_native, path) == 1
+
+    def test_snap(self, tmp_path):
+        path = tmp_path / "raw.txt"
+        path.write_text("# contacts\n1 2 0\n\n1 2\n")
+        assert self.line_of(convert_snap, path) == 4
+
+    def test_cover(self, tmp_path):
+        path = tmp_path / "c.cov"
+        path.write_text("0 1\n# cover\n\n0 1 2\n")
+        assert self.line_of(parse_cover, path) == 4
 
 
 def test_generator_emits_via_native_writer(tmp_path):
