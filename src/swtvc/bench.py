@@ -140,15 +140,26 @@ def write_csv(records: Sequence[BenchRecord], path) -> None:
             writer.writerow(rec.csv_row())
 
 
-def read_csv(path) -> List[dict]:
-    """Rows of a benchmark CSV; ParseError when a ``CSV_HEADER`` column is
-    missing."""
+def read_csv(path) -> List[Tuple[int, dict]]:
+    """Rows of a benchmark CSV, each with the 1-based line it ends on;
+    ParseError when a ``CSV_HEADER`` column is missing."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         missing = [c for c in CSV_HEADER if c not in (reader.fieldnames or ())]
         if missing:
             raise ParseError(1, f"not a benchmark CSV, missing columns {missing}")
-        return list(reader)
+        return [(reader.line_num, row) for row in reader]
+
+
+def _number(row: dict, column: str, line: int) -> float:
+    """A benchmark CSV field as a finite number; ParseError otherwise."""
+    try:
+        value = float(row[column])
+    except (TypeError, ValueError):  # TypeError: the row has no such field
+        value = math.nan
+    if not math.isfinite(value):
+        raise ParseError(line, f"bad {column} {row[column]!r}")
+    return value
 
 
 def compare_csv(path, algo_a: str, algo_b: str):
@@ -156,19 +167,22 @@ def compare_csv(path, algo_a: str, algo_b: str):
 
     Only rows with valid covers are compared, restricted to (graph, delta)
     cells present for both algorithms; objectives are averaged first, as in
-    the reported experiment tables.
+    the reported experiment tables.  A valid row whose cover size or time is
+    not a finite number raises ParseError with the row's line.
     """
-    rows = [r for r in read_csv(path) if r["valid"] == "true"]
     by_cell = {}
-    for r in rows:
-        by_cell.setdefault((r["graph"], r["delta"]), {})[r["algo"]] = r
+    for line, r in read_csv(path):
+        if r["valid"] == "true":
+            by_cell.setdefault((r["graph"], r["delta"]), {})[r["algo"]] = (
+                _number(r, "cover_size", line), _number(r, "time_ms_geomean", line))
     sizes_a, sizes_b, times_a, times_b = [], [], [], []
     for cell in by_cell.values():
         if algo_a in cell and algo_b in cell:
-            sizes_a.append(float(cell[algo_a]["cover_size"]))
-            sizes_b.append(float(cell[algo_b]["cover_size"]))
-            times_a.append(float(cell[algo_a]["time_ms_geomean"]))
-            times_b.append(float(cell[algo_b]["time_ms_geomean"]))
+            (size_a, time_a), (size_b, time_b) = cell[algo_a], cell[algo_b]
+            sizes_a.append(size_a)
+            sizes_b.append(size_b)
+            times_a.append(time_a)
+            times_b.append(time_b)
     if not sizes_a:
         raise EmptyInputError(f"no common valid cells for {algo_a} and {algo_b}")
     mean = lambda xs: sum(xs) / len(xs)

@@ -84,6 +84,24 @@ class TestRunBenchmark:
             with pytest.raises(ParseError):
                 compare_csv(out, "star-acov", "star-sc")
 
+    def test_compare_csv_bad_number_names_its_line(self, tmp_path):
+        out = tmp_path / "cmp.csv"
+        run_benchmark([("g", random_star_graph(2, n=16, T=16, d=4))],
+                      ["star-acov", "star-sc"], 3, repetitions=1, csv_path=out)
+        header, row_a, row_b = out.read_text().splitlines()
+        for column, bad in (("cover_size", "x"), ("time_ms_geomean", "nan"),
+                            ("time_ms_geomean", "inf"), ("cover_size", "")):
+            fields = row_b.split(",")
+            fields[CSV_HEADER.index(column)] = bad
+            out.write_text("\n".join([header, row_a, ",".join(fields)]) + "\n")
+            with pytest.raises(ParseError, match=f"line 3: bad {column}") as err:
+                compare_csv(out, "star-acov", "star-sc")
+            assert err.value.line == 3
+        # a valid row cut short before its time column
+        out.write_text("\n".join([header, row_a, row_b.rsplit(",", 2)[0]]) + "\n")
+        with pytest.raises(ParseError, match="line 3: bad time_ms_geomean None"):
+            compare_csv(out, "star-acov", "star-sc")
+
     def test_compare_csv(self, tmp_path):
         g = random_star_graph(2, n=16, T=16, d=4)
         out = tmp_path / "cmp.csv"
@@ -179,6 +197,15 @@ class TestCli:
         assert cli_dispatch(["compare", "--csv", str(out), "--algo-a",
                              "star-acov", "--algo-b", "star-sc"]) == 2
         assert "missing columns" in capsys.readouterr().err
+
+    def test_compare_bad_number_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        out.write_text(",".join(CSV_HEADER) + "\n"
+                       "g,star-acov,3,x,true,1.0,1\n"
+                       "g,star-sc,3,4,true,1.0,1\n")
+        assert cli_dispatch(["compare", "--csv", str(out), "--algo-a",
+                             "star-acov", "--algo-b", "star-sc"]) == 2
+        assert "line 2: bad cover_size 'x'" in capsys.readouterr().err
 
     def test_convert_snap(self, tmp_path):
         raw = tmp_path / "raw.txt"

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from math import ceil
 
 import pytest
@@ -68,6 +69,20 @@ class TestExactSolve:
         g = worst_case_acov_instance(3, 1200)
         with pytest.raises(BudgetExceededError):
             exact_solve(g, 3, budget=200)
+
+    def test_deep_search_memory_is_bounded(self):
+        # 7 200 demands at depth ~1 200: open-demand sets of ints on the
+        # stack peak near 500 MiB within 2 000 nodes, where bitmasks take
+        # about 1 KiB each
+        g = worst_case_acov_instance(3, 1200)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError):
+                exact_solve(g, 3, budget=2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestBruteForce:
@@ -169,7 +184,7 @@ def recursive_exact(g, delta, budget):
             return
         if len(chosen) + ceil(len(remaining) / max_cov) >= best[0]:
             return
-        target = min(remaining, key=lambda di: len(by_demand[di]))
+        target = min(sorted(remaining), key=lambda di: len(by_demand[di]))
         for ci in by_demand[target]:
             chosen.append(cands[ci])
             dfs(chosen, remaining - covered[ci])
@@ -191,7 +206,9 @@ class TestExactDifferential:
         pairs seen."""
         outcomes = set()
         for delta in range(1, max(g.T, 1) + 1):
-            assert _coverage(g, delta) == reference_coverage(g, delta)
+            ds, cands, covered = reference_coverage(g, delta)
+            masks = [sum(1 << di for di in hit) for hit in covered]
+            assert _coverage(g, delta) == (ds, cands, masks)
             for budget in self.BUDGETS:
                 try:
                     expected = recursive_exact(g, delta, budget)
