@@ -10,7 +10,6 @@ and adjacency lookups are direct array accesses.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -211,11 +210,13 @@ def validate_cover(g: TemporalGraph, delta: int, cover: Cover) -> Optional[Deman
     Failures are reported in (window_start, edge id) order: the witness is
     the same ``demands(g, delta)`` entry a scan of that list would stop at.
 
-    Runs in O(appearances + |cover|) time plus one binary search per
-    covering time, without listing the O(appearances * delta) demands:
-    each edge's sorted covering times are walked across its merged demand
-    intervals, jumping past every window a covering time reaches, until a
-    window with none of them is found.
+    Runs in O(appearances + |cover|) time with one dict lookup per
+    appearance.  Each edge's sorted appearances are swept once.  An
+    appearance that no cover vertex meets opens a candidate start, the
+    earliest window start that holds it and no earlier covering appearance;
+    a later covering appearance inside that window closes it, and a
+    candidate still open a full window later, or at the end of the list, is
+    the edge's first gap.
     """
     _check_delta(g, delta)
     at: dict = {}  # time step -> cover vertices at that step
@@ -227,43 +228,28 @@ def validate_cover(g: TemporalGraph, delta: int, cover: Cover) -> Optional[Deman
             raise OutOfRangeLabelError(f"appearance time {t} outside [1, {g.T}]")
         at.setdefault(t, set()).add(v)
 
-    # per-edge covering times: appended in increasing t, so already sorted
-    edges = g.edges
-    covering = [[] for _ in edges]
-    for t in sorted(at):
-        vs = at[t]
-        for eid in g.time_index[t]:
-            e = edges[eid]
-            if e.u in vs or e.v in vs:
-                covering[eid].append(t)
-
     first = None
-    for eid, edge in enumerate(edges):
-        # a later edge id only wins with a strictly earlier window start
-        limit = first.window_start - 1 if first else g.T
-        w = _first_gap(_demand_intervals(edge.appearances, g.T, delta),
-                       covering[eid], delta, limit)
-        if w is not None:
-            first = Demand(edge=eid, window_start=w)
+    limit = g.T - delta + 1  # last window start still worth reporting
+    for eid, (u, v, appearances) in enumerate(g.edges):
+        last = 0  # latest covering appearance
+        pending = 0  # earliest window start not known to be covered, 0 if none
+        for a in appearances:
+            if pending and a >= pending + delta:
+                break  # the pending window closed without a covering appearance
+            vs = at.get(a)
+            if vs is not None and (u in vs or v in vs):
+                last = a
+                pending = 0
+            elif not pending:
+                pending = max(a - delta + 1, last + 1)
+                if pending > limit:
+                    pending = 0
+                    break
+        if pending:
+            first = Demand(edge=eid, window_start=pending)
+            # a later edge id only wins with a strictly earlier window start
+            limit = pending - 1
     return first
-
-
-def _first_gap(intervals: list, times: list, delta: int, limit: int) -> Optional[int]:
-    """Smallest window start ``w <= limit`` in ``intervals`` whose window
-    ``[w, w + delta - 1]`` holds none of the sorted ``times``, else None."""
-    i = 0
-    for lo, hi in intervals:
-        if lo > limit:
-            return None
-        w = lo
-        hi = min(hi, limit)
-        while w <= hi:
-            i = bisect_left(times, w, i)
-            if i == len(times) or times[i] >= w + delta:
-                return w
-            # times[i] covers every window start in [w, times[i]]
-            w = times[i] + 1
-    return None
 
 
 def max_snapshot_degree(g: TemporalGraph) -> int:

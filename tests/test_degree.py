@@ -7,12 +7,16 @@ from hypothesis import strategies as st
 
 from swtvc import (
     BadDeltaError,
+    GeneratorConfig,
     VertexAppearance,
     build_graph,
     chosen_endpoint,
     d1_approx_solve,
     d_approx_s_solve,
     d_approx_solve,
+    exact_solve,
+    generate_always_star,
+    max_snapshot_degree,
     single_edge_exact,
     validate_cover,
     worst_case_acov_instance,
@@ -111,6 +115,18 @@ class TestD1Approx:
         g = build_graph(3, 2, [(0, 1, [1, 2]), (1, 2, [1, 2])])
         cover = d1_approx_solve(g, 2)
         assert cover == {(1, 2)}
+
+    def test_exceeds_d_minus_1_times_opt(self):
+        # the pairing greedy is a heuristic: here d - 1 = 1, yet it picks one
+        # appearance more than the optimum
+        g = generate_always_star(GeneratorConfig(
+            n=3, T=4, d=2, seed=512, empty_snapshot_prob=0.3, persistence=0.5,
+            center_switch_prob=0.5))
+        cover = d1_approx_solve(g, 3)
+        assert validate_cover(g, 3, cover) is None
+        assert max_snapshot_degree(g) == 2
+        assert len(exact_solve(g, 3)) == 2
+        assert len(cover) == 3
 
 
 def adjacency_d1(g, delta):

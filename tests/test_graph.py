@@ -182,6 +182,31 @@ class TestValidateCover:
         assert validate_cover(example_graph, 2, base) is None
         assert validate_cover(example_graph, 2, base | {(2, 2), (1, 2)}) is None
 
+    def test_tie_on_window_start_goes_to_lower_edge_id(self):
+        # both edges are covered at their first appearance and uncovered
+        # from window start 3 on
+        g = build_graph(3, 6, [(0, 1, [1, 4]), (0, 2, [2, 4])])
+        assert validate_cover(g, 2, {(1, 1), (2, 2)}) == Demand(0, 3)
+
+    def test_later_edge_with_earlier_gap_wins(self):
+        # edge 0 is first uncovered at start 4, edge 1 at start 2
+        g = build_graph(4, 6, [(0, 1, [1, 5]), (2, 3, [3, 5])])
+        assert validate_cover(g, 2, {(0, 1)}) == Demand(1, 2)
+        assert validate_cover(g, 2, {(0, 1), (2, 3)}) == Demand(0, 4)
+
+    def test_cover_vertex_at_inactive_step_does_not_cover(self):
+        # vertex 0 is in the cover at step 3, where edge (0, 1) is inactive
+        g = build_graph(2, 5, [(0, 1, [1, 5])])
+        assert validate_cover(g, 3, {(0, 1), (0, 3)}) == Demand(0, 3)
+        assert validate_cover(g, 3, {(0, 1), (1, 5)}) is None
+
+    def test_appearance_after_last_window_start_covers_last_window(self):
+        # T - delta + 1 = 4: step 6 lies only in the window starting at 4
+        g = build_graph(2, 6, [(0, 1, [1, 6])])
+        assert validate_cover(g, 3, {(0, 1), (1, 6)}) is None
+        assert validate_cover(g, 3, {(0, 1)}) == Demand(0, 4)
+        assert validate_cover(g, 3, {(1, 6)}) == Demand(0, 1)
+
 
 def demand_scan(g, delta, cover):
     """Reference validator: the first demand, in ``demands()`` order, with
@@ -235,6 +260,37 @@ class TestValidateCoverDifferential:
         self.check(periodic_worst_case, rng, count=40)
         self.check(build_graph(3, 0, []), rng)
         self.check(build_graph(2, 1, [(0, 1, [1])]), rng)
+
+
+@st.composite
+def long_lifetime_graphs(draw):
+    """Graphs with lifetimes up to 40; each edge has either a few
+    appearances or all steps but a few."""
+    T = draw(st.integers(1, 40))
+    n = draw(st.integers(2, 5))
+    steps = st.sets(st.integers(1, T), max_size=4)
+    edge_list = []
+    for _ in range(draw(st.integers(1, 5))):
+        u, v = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                             unique=True))
+        if draw(st.booleans()):
+            labels = sorted(draw(steps))
+        else:
+            missing = draw(steps)
+            labels = [t for t in range(1, T + 1) if t not in missing]
+        edge_list.append((u, v, labels or [draw(st.integers(1, T))]))
+    return build_graph(n, T, edge_list)
+
+
+@settings(max_examples=100, deadline=None)
+@given(long_lifetime_graphs(), st.integers(0, 2**32))
+def test_validate_cover_matches_scan_on_long_lifetimes(g, seed):
+    # long lifetimes put many window starts between covering times, which
+    # the T <= 14 corpora above cannot
+    rng = random.Random(seed)
+    for delta in range(1, g.T + 1):
+        for cover in random_covers(g, rng, 2):
+            assert validate_cover(g, delta, cover) == demand_scan(g, delta, cover)
 
 
 @settings(max_examples=60, deadline=None)
