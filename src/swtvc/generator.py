@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import BadConfigError
-from .graph import TemporalGraph, build_graph
+from .graph import TemporalGraph, _check_size, build_graph
 
 
 @dataclass(frozen=True)
@@ -43,6 +43,8 @@ class GeneratorConfig:
     def validate(self):
         if self.n < 1 or self.T < 0 or self.d < 0 or self.seed < 0:
             raise BadConfigError(f"negative or empty dimension in {self}")
+        # each step scans all n vertices, long before build_graph would refuse
+        _check_size(self.n, self.T)
         if self.d > 0 and self.n < 2:
             raise BadConfigError("need n >= 2 to place any edge")
         if self.d > self.n - 1:
@@ -96,6 +98,7 @@ def worst_case_acov_instance(delta: int, reps: int, leaves: int = None) -> Tempo
         leaves = delta - 1
     if leaves < delta - 1:
         raise BadConfigError(f"need leaves >= delta-1, got {leaves}")
+    _check_size(leaves + 1, reps * delta)
 
     groups = delta - 1
     base, rem = divmod(leaves, groups)
@@ -121,4 +124,5 @@ def worst_case_sc_instance(delta: int) -> TemporalGraph:
     if delta < 2:
         raise BadConfigError(f"need delta >= 2, got {delta}")
     T = 2 * delta - 1
+    _check_size(2, T)
     return build_graph(2, T, [(0, 1, list(range(1, T + 1)))])

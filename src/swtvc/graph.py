@@ -19,7 +19,13 @@ from .errors import (
     OutOfRangeVertexError,
     NotAStarError,
     SelfLoopError,
+    TooLargeError,
 )
+
+#: Largest vertex count or lifetime ``build_graph`` accepts.  It allocates
+#: one index list per vertex and per step up front, about 70 MiB per
+#: million of either, so a huge header fails fast instead of exhausting memory.
+MAX_SIZE = 10**7
 
 
 class VertexAppearance(NamedTuple):
@@ -70,15 +76,24 @@ class TemporalGraph:
         return len(self.edges)
 
 
+def _check_size(n: int, T: int) -> None:
+    if n > MAX_SIZE or T > MAX_SIZE:
+        raise TooLargeError(
+            f"graph too large: n={n}, T={T}; each must be at most {MAX_SIZE}")
+
+
 def build_graph(n: int, T: int, edge_list: Iterable) -> TemporalGraph:
     """Construct a TemporalGraph from ``(u, v, appearance_list)`` triples.
 
     Endpoints are canonicalized to u < v and duplicate (u, v) entries are
     merged into one edge with the union of their labels.  Edge ids follow
-    first-appearance order of the canonical pair in the input.
+    first-appearance order of the canonical pair in the input.  Raises
+    TooLargeError, before allocating anything, when ``n`` or ``T`` exceeds
+    ``MAX_SIZE``.
     """
     if n < 0 or T < 0:
         raise OutOfRangeLabelError(f"n and T must be nonnegative, got n={n} T={T}")
+    _check_size(n, T)
     merged: dict = {}
     order: list = []
     for u, v, labels in edge_list:

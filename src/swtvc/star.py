@@ -8,7 +8,7 @@ centers whose edges are covered by other centers inside the window.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 
 from .graph import (
     Cover,
@@ -17,8 +17,6 @@ from .graph import (
     _check_delta,
     star_center_at,
 )
-
-_EXCLUDED, _AVAILABLE, _INCLUDED = 0, 1, 2
 
 
 def _centers(g: TemporalGraph):
@@ -48,64 +46,56 @@ def star_sc_solve(g: TemporalGraph, delta: int) -> Cover:
 def star_acov_solve(g: TemporalGraph, delta: int) -> Cover:
     """Sliding-window solver keeping only centers that are actually needed.
 
-    Every time step carries an inclusion status: included centers are in
-    the output (and stay there), excluded ones are argued away for the
-    current window only, available ones are undecided.  Per window, a
-    center is forced in when one of its edges cannot be covered by any
-    other non-excluded center in the window; otherwise the step is
-    excluded and each of its edges is charged to an already included step
-    or to the latest available step where the edge is active.  Exclusion
-    does not carry over: the next window re-examines the step from
-    scratch, because its former coverers may have slid out.
+    Each window [t, end] visits its steps in order.  A step that is not yet
+    in the cover is forced in when one of its edges has neither an included
+    step nor a later step inside the window.  Otherwise it is excluded for
+    this window only, and each of its edges without an included step is
+    charged to its last step in the window, unless an earlier charge
+    covered it already; charges go in order of that step, ties by edge id.
 
-    An edge's steps inside the window come from two binary searches on its
-    appearance list, so a window costs, for every edge of every undecided
-    step in it, O(log |appearances|) plus its appearances in the window:
-    at most O(delta * d * (delta + log T)) for snapshots of at most d edges.
+    Included steps never leave the cover and none lies after ``end``, so
+    an edge has an included step in the window exactly when ``covered``,
+    its latest included step, is at least ``t``.  The steps of (s, end]
+    not in the cover are all undecided, so when a step s finds an edge
+    uncovered, that edge's latest other candidate is its last appearance up
+    to ``end`` (one binary search), provided it lies after s.  A window
+    costs O(1) for each edge of each undecided step, plus one binary search
+    per edge without an included step: O(delta * d) plus those searches
+    for snapshots of at most d edges.
     """
     _check_delta(g, delta)
     centers = _centers(g)
     index, edges = g.time_index, g.edges
-    status = [_AVAILABLE if eids else _EXCLUDED for eids in index]
-
+    included = bytearray(g.T + 1)
+    covered = [0] * g.m  # latest included step at which each edge is active
     cover = set()
+
+    def include(s):
+        included[s] = 1
+        cover.add(VertexAppearance(centers[s], s))
+        for eid in index[s]:
+            if covered[eid] < s:
+                covered[eid] = s
+
     for t in range(1, g.T - delta + 2):
         end = t + delta - 1
-        window = range(t, end + 1)
-        # exclusions were only valid for the previous window
-        for s in window:
-            if status[s] == _EXCLUDED and index[s]:
-                status[s] = _AVAILABLE
-
-        for s in window:
-            if status[s] != _AVAILABLE:
+        for s in range(t, end + 1):
+            if included[s]:
                 continue
-            plans = []  # (latest available other step or end + 1, eid, steps)
+            plans = []  # (last step in the window, eid) of uncovered edges
             for eid in index[s]:
+                if covered[eid] >= t:
+                    continue
                 apps = edges[eid].appearances
-                steps = apps[bisect_left(apps, t):bisect_right(apps, end)]
-                included, latest = False, end + 1
-                for u in steps:
-                    if u == s:
-                        continue
-                    if status[u] == _INCLUDED:
-                        included = True
-                    elif status[u] == _AVAILABLE:
-                        latest = u
-                if not included and latest > end:
-                    plans = None  # no other center can cover this edge
+                latest = apps[bisect_right(apps, end) - 1]
+                if latest <= s:
+                    include(s)  # no other center can cover this edge
                     break
-                plans.append((latest, eid, steps))
-            if plans is None:
-                cover.add(VertexAppearance(centers[s], s))
-                status[s] = _INCLUDED
-                continue
-
-            status[s] = _EXCLUDED
-            # most constrained edge first, so one inclusion serves the rest
-            for latest, _, steps in sorted(plans):
-                if not any(status[u] == _INCLUDED for u in steps):
-                    cover.add(VertexAppearance(centers[latest], latest))
-                    status[latest] = _INCLUDED
+                plans.append((latest, eid))
+            else:
+                # most constrained edge first, so one inclusion serves the rest
+                for latest, eid in sorted(plans):
+                    if covered[eid] < t:
+                        include(latest)
 
     return cover

@@ -145,6 +145,13 @@ class TestCli:
                              "--budget", "200", "--input", str(tg)]) == 2
         assert "node budget 200 exhausted" in capsys.readouterr().err
 
+    def test_huge_header_exits_2(self, tmp_path, capsys):
+        tg = tmp_path / "huge.tg"
+        tg.write_text("1000000000000 0 1\n")
+        assert cli_dispatch(["solve", "--algo", "star-acov", "--delta", "1",
+                             "--input", str(tg)]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_unknown_subcommand_exits_2(self):
         assert cli_dispatch(["frobnicate"]) == 2
 

@@ -5,6 +5,7 @@ from swtvc import (
     EmptyInputError,
     NegativeTimestampError,
     ParseError,
+    TooLargeError,
     convert_snap,
     parse_cover,
     parse_native,
@@ -63,6 +64,22 @@ class TestNativeFormat:
         path.write_text("2 1 3\n0 1 3 1 2\n")
         with pytest.raises(ParseError):
             parse_native(path)
+
+
+class TestSizeLimit:
+    def test_huge_native_header(self, tmp_path):
+        path = tmp_path / "g.tg"
+        for header in ("1000000000000 0 1", "2 0 100000000000"):
+            path.write_text(header + "\n")
+            with pytest.raises(TooLargeError):
+                parse_native(path)
+
+    def test_long_snap_span_in_one_second_buckets(self, tmp_path):
+        path = tmp_path / "raw.txt"
+        path.write_text("1 2 0\n1 2 100000000\n")  # about 3 years
+        with pytest.raises(TooLargeError):
+            convert_snap(path, bucket_seconds=1)
+        assert convert_snap(path, bucket_seconds=3600).T == 27778
 
 
 class TestConvertSnap:

@@ -6,6 +6,7 @@ import pytest
 from swtvc import (
     BadConfigError,
     GeneratorConfig,
+    TooLargeError,
     generate_always_star,
     max_snapshot_degree,
     star_acov_solve,
@@ -23,6 +24,16 @@ class TestGenerateAlwaysStar:
         g = generate_always_star(GeneratorConfig(n=2, T=1, d=1, seed=0))
         assert g.m == 1
         assert (g.edges[0].u, g.edges[0].v, g.edges[0].appearances) == (0, 1, (1,))
+
+    def test_size_limit_before_generating(self):
+        with pytest.raises(TooLargeError):
+            generate_always_star(GeneratorConfig(n=10**12, T=4, d=3, seed=0))
+        with pytest.raises(TooLargeError):
+            worst_case_acov_instance(3, 10**11)
+        with pytest.raises(TooLargeError):
+            worst_case_acov_instance(3, 1, 10**11)
+        with pytest.raises(TooLargeError):
+            worst_case_sc_instance(10**11)
 
     def test_zero_degree_gives_empty_graph(self):
         g = generate_always_star(GeneratorConfig(n=1, T=5, d=0, seed=0))

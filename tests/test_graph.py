@@ -11,6 +11,7 @@ from swtvc import (
     OutOfRangeLabelError,
     OutOfRangeVertexError,
     SelfLoopError,
+    TooLargeError,
     build_graph,
     demands,
     edges_at,
@@ -18,6 +19,8 @@ from swtvc import (
     validate_always_star,
     validate_cover,
 )
+
+from swtvc.graph import MAX_SIZE
 
 from conftest import random_general_graph, random_star_graph
 
@@ -49,6 +52,12 @@ class TestBuildGraph:
     def test_out_of_range_label(self):
         with pytest.raises(OutOfRangeLabelError):
             build_graph(2, 3, [(0, 1, [4])])
+
+    def test_size_limit(self):
+        with pytest.raises(TooLargeError):
+            build_graph(MAX_SIZE + 1, 1, [])
+        with pytest.raises(TooLargeError):
+            build_graph(2, MAX_SIZE + 1, [(0, 1, [1])])
 
     def test_duplicates_merged_with_label_union(self):
         g = build_graph(3, 4, [(0, 1, [1, 3]), (1, 0, [2, 3])])

@@ -1,11 +1,17 @@
+from math import ceil
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swtvc import (
     BadDeltaError,
+    GeneratorConfig,
     NotAStarError,
     VertexAppearance,
     build_graph,
     exact_solve,
+    generate_always_star,
     star_acov_solve,
     star_center_at,
     star_sc_solve,
@@ -89,6 +95,15 @@ class TestStarAcov:
             star_acov_solve(periodic_worst_case, 0)
         with pytest.raises(BadDeltaError):
             star_acov_solve(periodic_worst_case, 7)
+
+    def test_worst_case_family_tight_at_larger_delta(self):
+        # the (delta-1) ratio is attained exactly far beyond delta 2..4
+        for delta in range(2, 17):
+            for reps in (1, 2, 3, 5):
+                for leaves in (delta - 1, 3 * delta):
+                    g = worst_case_acov_instance(delta, reps, leaves)
+                    expected = g.T - ceil(g.T / delta)
+                    assert len(star_acov_solve(g, delta)) == expected
 
 
 _EXCLUDED, _AVAILABLE, _INCLUDED = 0, 1, 2
@@ -199,3 +214,39 @@ class TestStarAcovDifferential:
     def test_empty_graphs(self):
         self.check(build_graph(3, 5, []))
         self.check(build_graph(3, 0, []))
+
+    def test_long_lifetime_wide_windows(self):
+        # windows far wider than the T <= 30 corpus above, across persistence
+        for persistence in (0.0, 0.5, 0.9):
+            for seed in range(4):
+                T = 60 + 10 * (seed % 3)
+                cfg = GeneratorConfig(n=40, T=T, d=2 + 2 * seed, seed=seed,
+                                      empty_snapshot_prob=0.1,
+                                      persistence=persistence)
+                g = generate_always_star(cfg)
+                for delta in range(1, T + 1):
+                    assert star_acov_solve(g, delta) == ring_buffer_acov(g, delta)
+
+
+@st.composite
+def small_star_graphs(draw):
+    """Always-star graph with a freely drawn center and leaf set per step."""
+    n = draw(st.integers(2, 6))
+    T = draw(st.integers(1, 12))
+    labels = {}
+    for t in range(1, T + 1):
+        if draw(st.booleans()):
+            continue  # empty snapshot
+        center = draw(st.integers(0, n - 1))
+        others = [v for v in range(n) if v != center]
+        for leaf in draw(st.sets(st.sampled_from(others), min_size=1)):
+            key = (min(center, leaf), max(center, leaf))
+            labels.setdefault(key, []).append(t)
+    return build_graph(n, T, [(u, v, ts) for (u, v), ts in labels.items()])
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_star_graphs())
+def test_star_acov_matches_ring_buffer_on_random_stars(g):
+    for delta in range(1, g.T + 1):
+        assert star_acov_solve(g, delta) == ring_buffer_acov(g, delta)
