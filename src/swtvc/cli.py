@@ -11,7 +11,8 @@ import sys
 
 from . import bench as bench_mod
 from . import formats
-from .errors import TvcError
+from .errors import BadConfigError, BadDeltaError, TvcError
+from .exact import DEFAULT_BUDGET
 from .generator import (
     GeneratorConfig,
     generate_always_star,
@@ -57,7 +58,7 @@ def _build_parser():
     p.add_argument("--input", required=True)
     p.add_argument("--output", default=None, help="cover file destination")
     p.add_argument("--validate", action="store_true")
-    p.add_argument("--budget", type=int, default=2_000_000,
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help="node limit for the exact solver")
 
     p = sub.add_parser("validate", help="check a cover file against an instance")
@@ -183,7 +184,10 @@ def cli_dispatch(argv) -> int:
         return _COMMANDS[args.command](args)
     except TvcError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        print(f"run 'swtvc {args.command} --help' for usage", file=sys.stderr)
+        # only a bad argument value is a usage mistake; bad input files,
+        # non-star snapshots and exhausted budgets are not
+        if isinstance(exc, (BadDeltaError, BadConfigError)):
+            print(f"run 'swtvc {args.command} --help' for usage", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,6 +22,15 @@ from .graph import (
     demands,
 )
 
+# Node budget of ``exact_solve`` when the caller gives none.
+DEFAULT_BUDGET = 2_000_000
+# Memory cap of ``exact_solve``'s replay table, and the bytes charged per
+# entry besides its mask's bits: about 150 for the int header, key tuple,
+# count and dict slot (tracemalloc, CPython 3.11), with room for the
+# dict's resizes.
+_REPLAY_TABLE_BYTES = 32 * 2**20
+_REPLAY_ENTRY_BYTES = 200
+
 
 def _coverage(g: TemporalGraph, delta: int):
     """Demands, the sorted candidates (v, t) where v is an endpoint of an
@@ -46,15 +55,25 @@ def _coverage(g: TemporalGraph, delta: int):
     return ds, cands, [hits[c] for c in cands]
 
 
-def exact_solve(g: TemporalGraph, delta: int, budget: int = 2_000_000) -> Cover:
+def exact_solve(g: TemporalGraph, delta: int, budget: int = DEFAULT_BUDGET) -> Cover:
     """Minimum-cardinality valid cover via branch and bound.
 
     Branches over the candidates covering the open demand with the fewest
     covering candidates (fail-first, ties to the lowest demand id); prunes
     with a packing bound.  The search runs on an explicit stack in
     depth-first preorder, so its depth is not tied to the interpreter's
-    recursion limit.  Each pending branch holds its own open-demand bitmask:
-    memory is O(depth * fan-out * |demands| / 8) bytes.
+    recursion limit.
+
+    While the incumbent size is unchanged, a node's subtree depends only on
+    its open demands and its slack (incumbent size minus depth).  A replay
+    table maps that pair to the node count of each finished subtree that
+    improved nothing; a node that meets a recorded pair adds the count
+    instead of searching again, since it would improve nothing again.  So
+    covers, node counts and the point where the budget runs out are those
+    of the plain search.  The table stops growing at about
+    ``_REPLAY_TABLE_BYTES`` (each entry charged its mask's bytes plus
+    ``_REPLAY_ENTRY_BYTES``).  Memory is O(depth * fan-out * |demands| / 8)
+    bytes for the stacked open-demand bitmasks plus that capped table.
     Raises BudgetExceededError after ``budget`` search nodes.
     """
     _check_delta(g, delta)
@@ -83,12 +102,24 @@ def exact_solve(g: TemporalGraph, delta: int, budget: int = 2_000_000) -> Cover:
     size, path = len(best), None
     max_cov = max(mask.bit_count() for mask in masks)
 
+    # (open demands, slack) -> node count of a finished subtree that left
+    # the incumbent alone; it stops growing once full
+    done = {}
+    room = _REPLAY_TABLE_BYTES // (len(ds) // 8 + _REPLAY_ENTRY_BYTES)
     # an entry is (picks, chosen path as nested (candidate, parent) pairs,
-    # open demands); the path shares its prefix with its siblings'
+    # open demands); the path shares its prefix with its siblings'.  Under
+    # a branching node's children lies its exit marker (None, key, nodes
+    # and incumbent size before the node).
     nodes = 0
     stack = [(0, None, (1 << len(ds)) - 1)]
     while stack:
-        depth, chosen, remaining = stack.pop()
+        item = stack.pop()
+        if item[0] is None:
+            _, key, start, entry = item
+            if size == entry and len(done) < room:
+                done[key] = nodes - start
+            continue
+        depth, chosen, remaining = item
         nodes += 1
         if nodes > budget:
             raise BudgetExceededError(f"node budget {budget} exhausted")
@@ -97,6 +128,14 @@ def exact_solve(g: TemporalGraph, delta: int, budget: int = 2_000_000) -> Cover:
                 size, path = depth, chosen
         # packing bound: depth + ceil(|open| / max_cov) picks at least
         elif depth - (-remaining.bit_count() // max_cov) < size:
+            key = (remaining, size - depth)
+            if key in done:
+                # the plain search would count the same nodes again
+                nodes += done[key] - 1
+                if nodes > budget:
+                    raise BudgetExceededError(f"node budget {budget} exhausted")
+                continue
+            stack.append((None, key, nodes - 1, size))
             for level in levels:
                 target = remaining & level
                 if target:

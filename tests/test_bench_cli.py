@@ -152,6 +152,36 @@ class TestCli:
                              "--input", str(tg)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_bad_argument_values_print_usage_hint(self, tmp_path, capsys,
+                                                  periodic_worst_case):
+        tg = tmp_path / "p.tg"
+        write_native(periodic_worst_case, tg)
+        for argv in (["solve", "--algo", "star-sc", "--delta", "0", "--input", str(tg)],
+                     ["generate", "--n", "1", "--output", str(tmp_path / "g.tg")]):
+            assert cli_dispatch(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ")
+            assert f"run 'swtvc {argv[0]} --help' for usage" in err
+
+    def test_input_and_solver_errors_print_no_usage_hint(self, tmp_path, capsys):
+        bad = tmp_path / "bad.tg"
+        bad.write_text("not a header\n")
+        huge = tmp_path / "huge.tg"
+        huge.write_text("1000000000000 0 1\n")
+        matching = tmp_path / "matching.tg"
+        write_native(build_graph(4, 3, [(0, 1, [1]), (2, 3, [1])]), matching)
+        deep = tmp_path / "deep.tg"
+        write_native(worst_case_acov_instance(3, 20), deep)
+        # ParseError, TooLargeError, NotAStarError, BudgetExceededError
+        for algo, path, extra in (("star-acov", bad, []), ("star-acov", huge, []),
+                                  ("star-acov", matching, []),
+                                  ("exact", deep, ["--budget", "5"])):
+            assert cli_dispatch(["solve", "--algo", algo, "--delta", "2",
+                                 "--input", str(path), *extra]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ")
+            assert "--help" not in err
+
     def test_unknown_subcommand_exits_2(self):
         assert cli_dispatch(["frobnicate"]) == 2
 

@@ -1,3 +1,4 @@
+import random
 import sys
 import tracemalloc
 from math import ceil
@@ -22,6 +23,7 @@ from swtvc import (
     worst_case_sc_instance,
 )
 
+from swtvc import exact
 from swtvc.exact import _coverage
 from swtvc.graph import _window_starts
 
@@ -242,3 +244,119 @@ class TestExactDifferential:
     def test_empty_graphs(self):
         self.check(build_graph(3, 5, []))
         self.check(build_graph(3, 0, []))
+
+
+def recursive_exact_nodes(g, delta, budget):
+    """Reference: ``recursive_exact`` that also returns how many search
+    nodes it took to decide."""
+    ds, cands, covered = reference_coverage(g, delta)
+    if not ds:
+        return set(), 0
+    by_demand = [[] for _ in ds]
+    for ci, hit in enumerate(covered):
+        for di in hit:
+            by_demand[di].append(ci)
+    incumbent = d_approx_s_solve(g, delta)
+    best = [len(incumbent), set(incumbent)]
+    max_cov = max(len(h) for h in covered)
+    nodes = [0]
+
+    def dfs(chosen, remaining):
+        nodes[0] += 1
+        if nodes[0] > budget:
+            raise BudgetExceededError(f"node budget {budget} exhausted")
+        if not remaining:
+            if len(chosen) < best[0]:
+                best[0] = len(chosen)
+                best[1] = set(chosen)
+            return
+        if len(chosen) + ceil(len(remaining) / max_cov) >= best[0]:
+            return
+        target = min(sorted(remaining), key=lambda di: len(by_demand[di]))
+        for ci in by_demand[target]:
+            chosen.append(cands[ci])
+            dfs(chosen, remaining - covered[ci])
+            chosen.pop()
+
+    dfs([], frozenset(range(len(ds))))
+    return {VertexAppearance(v, t) for v, t in best[1]}, nodes[0]
+
+
+def rung_graph(seed, n=5, T=24, m=4, k=6):
+    """``m`` distinct random pairs, each active at ``k`` random steps: the
+    shape of the benchmark's T = 24 exact rung, small enough to decide.
+    Its searches meet finished subtrees again and again."""
+    rng = random.Random(seed)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rng.shuffle(pairs)
+    return build_graph(n, T, [(u, v, sorted(rng.sample(range(1, T + 1), k)))
+                              for u, v in pairs[:m]])
+
+
+class TestExactReplay:
+    """Replaying finished subtrees moves no outcome: where the reference
+    decides in N nodes, ``exact_solve`` decides at budget N with its cover
+    and runs out at budget N - 1."""
+
+    REFERENCE_BUDGET = 30_000
+
+    def sweep(self, cases):
+        """Check every (graph, delta) the reference decides within
+        ``REFERENCE_BUDGET`` nodes; returns how many it decided."""
+        decided = 0
+        for g, delta in cases:
+            try:
+                cover, n = recursive_exact_nodes(g, delta, self.REFERENCE_BUDGET)
+            except BudgetExceededError:
+                continue
+            decided += 1
+            assert exact_solve(g, delta, budget=n) == cover
+            if n > 1:
+                with pytest.raises(BudgetExceededError):
+                    exact_solve(g, delta, budget=n - 1)
+        return decided
+
+    @staticmethod
+    def small_cases():
+        for seed in range(40):
+            g = random_general_graph(seed, n=6, T=10, max_edges=7)
+            for delta in (1, 2, 3):
+                yield g, delta
+
+    @staticmethod
+    def rung_cases():
+        for seed in range(12):
+            yield rung_graph(seed), 3
+
+    def test_budget_sweep_small_graphs(self):
+        assert self.sweep(self.small_cases()) >= 100
+
+    def test_budget_sweep_rung_shape(self):
+        assert self.sweep(self.rung_cases()) >= 3
+
+    def test_capped_table(self, monkeypatch):
+        # a cap of a few entries leaves every outcome as it was
+        monkeypatch.setattr(exact, "_REPLAY_TABLE_BYTES", 2 * 2**10)
+        assert self.sweep(self.small_cases()) >= 100
+        assert self.sweep(self.rung_cases()) >= 3
+
+    def test_table_memory_stays_under_its_cap(self, monkeypatch):
+        # a star search that records hundreds of finished subtrees within
+        # 5 000 nodes: its peak over a search without a table stays within
+        # the cap, where the uncapped table takes several times the cap
+        g = random_star_graph(0, n=40, T=100, d=5)
+        cap = 16 * 2**10
+
+        def peak(table_bytes):
+            monkeypatch.setattr(exact, "_REPLAY_TABLE_BYTES", table_bytes)
+            tracemalloc.start()
+            try:
+                with pytest.raises(BudgetExceededError):
+                    exact_solve(g, 3, budget=5_000)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        without = peak(0)
+        assert peak(32 * 2**20) - without > 2 * cap
+        assert peak(cap) - without <= cap
