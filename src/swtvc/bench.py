@@ -11,13 +11,15 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .degree import d1_approx_solve, d_approx_s_solve, d_approx_solve
 from .errors import (
+    BadConfigError,
     EmptyInputError,
     NonPositiveSampleError,
+    NotAStarError,
     ParseError,
     TvcError,
 )
 from .exact import exact_solve
-from .graph import TemporalGraph, validate_always_star, validate_cover
+from .graph import TemporalGraph, validate_cover
 from .star import star_acov_solve, star_sc_solve
 
 CSV_HEADER = ["graph", "algo", "delta", "cover_size", "valid", "time_ms_geomean", "reps"]
@@ -30,8 +32,6 @@ ALGORITHMS: Dict[str, Callable] = {
     "d-1-approx": d1_approx_solve,
     "exact": exact_solve,
 }
-
-_STAR_ONLY = {"star-sc", "star-acov"}
 
 
 @dataclass
@@ -85,30 +85,25 @@ def run_benchmark(
     algorithms: Sequence[str],
     delta: int,
     repetitions: int = 3,
-    csv_path=None,
 ) -> List[BenchRecord]:
     """Run each algorithm on each instance: one untimed validation run, then
     ``repetitions`` timed solve-only runs aggregated by geometric mean.
 
-    Cells fail independently; star algorithms on non-star inputs are
-    recorded as skipped instead of aborting the batch.
+    Cells fail independently: a solver that raises NotAStarError (the star
+    algorithms on a non-star input) is recorded as skipped, any other
+    TvcError as ``error:<Name>``, and the batch goes on.  The caller writes
+    the records out, e.g. with ``write_csv``.  Raises BadConfigError when
+    ``repetitions`` is below 1.
     """
     if repetitions < 1:
-        raise EmptyInputError("repetitions must be >= 1")
+        raise BadConfigError(f"repetitions must be >= 1, got {repetitions}")
     unknown = [a for a in algorithms if a not in ALGORITHMS]
     if unknown:
         raise KeyError(f"unknown algorithms: {unknown}")
 
     records = []
     for name, g in instances:
-        star_offender = validate_always_star(g)
         for algo in algorithms:
-            if algo in _STAR_ONLY and star_offender is not None:
-                records.append(
-                    BenchRecord(name, algo, delta, None, None, None, repetitions,
-                                status="skipped_not_always_star")
-                )
-                continue
             solver = ALGORITHMS[algo]
             try:
                 cover = solver(g, delta)  # warm-up, also the validated run
@@ -123,12 +118,12 @@ def run_benchmark(
                                 geometric_mean(samples), repetitions)
                 )
             except TvcError as exc:
+                status = ("skipped_not_always_star" if isinstance(exc, NotAStarError)
+                          else f"error:{type(exc).__name__}")
                 records.append(
                     BenchRecord(name, algo, delta, None, None, None, repetitions,
-                                status=f"error:{type(exc).__name__}")
+                                status=status)
                 )
-    if csv_path is not None:
-        write_csv(records, csv_path)
     return records
 
 

@@ -146,7 +146,8 @@ def _cmd_validate(args):
 def _cmd_bench(args):
     instances = [(path, formats.parse_native(path)) for path in args.inputs]
     records = bench_mod.run_benchmark(instances, args.algos, args.delta,
-                                      repetitions=args.reps, csv_path=args.output)
+                                      repetitions=args.reps)
+    bench_mod.write_csv(records, args.output)
     for rec in records:
         if rec.status == "ok":
             print(f"{rec.instance} {rec.algorithm}: size={rec.cover_size} "

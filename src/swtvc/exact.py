@@ -30,6 +30,8 @@ DEFAULT_BUDGET = 2_000_000
 # dict's resizes.
 _REPLAY_TABLE_BYTES = 32 * 2**20
 _REPLAY_ENTRY_BYTES = 200
+# Most candidate appearances ``brute_force_solve`` enumerates subsets of.
+_BRUTE_FORCE_CANDIDATES = 24
 
 
 def _coverage(g: TemporalGraph, delta: int):
@@ -153,15 +155,19 @@ def exact_solve(g: TemporalGraph, delta: int, budget: int = DEFAULT_BUDGET) -> C
     return cover
 
 
-def brute_force_solve(g: TemporalGraph, delta: int, max_candidates: int = 24) -> Cover:
-    """Exhaustive minimum cover by subset enumeration in increasing size."""
+def brute_force_solve(g: TemporalGraph, delta: int) -> Cover:
+    """Exhaustive minimum cover by subset enumeration in increasing size.
+
+    Raises TooLargeError past ``_BRUTE_FORCE_CANDIDATES`` (24) candidate
+    appearances.
+    """
     _check_delta(g, delta)
     ds, cands, masks = _coverage(g, delta)
     if not ds:
         return set()
-    if len(cands) > max_candidates:
+    if len(cands) > _BRUTE_FORCE_CANDIDATES:
         raise TooLargeError(
-            f"{len(cands)} candidate appearances exceed limit {max_candidates}"
+            f"{len(cands)} candidate appearances exceed limit {_BRUTE_FORCE_CANDIDATES}"
         )
     full = (1 << len(ds)) - 1
     for size in range(len(cands) + 1):

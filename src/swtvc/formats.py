@@ -14,6 +14,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .errors import (
+    BadConfigError,
     DuplicateAppearanceError,
     EmptyInputError,
     NegativeTimestampError,
@@ -88,9 +89,10 @@ def convert_snap(path, bucket_seconds: int = 3600, keep_gaps: bool = True) -> Te
     first-appearance order.  Timestamps are bucketed relative to the
     dataset minimum; with ``keep_gaps`` empty buckets stay as empty
     snapshots, otherwise time steps are compacted to the nonempty buckets.
+    Raises BadConfigError when ``bucket_seconds`` is not positive.
     """
     if bucket_seconds <= 0:
-        raise ParseError(0, f"bucket_seconds must be positive, got {bucket_seconds}")
+        raise BadConfigError(f"bucket_seconds must be positive, got {bucket_seconds}")
     contacts = []
     ids = {}
     for lineno, line in _content_lines(path):

@@ -164,13 +164,21 @@ def star_center_at(g: TemporalGraph, t: int) -> Optional[int]:
     return next(iter(common))
 
 
+def _star_centers(g: TemporalGraph) -> list:
+    """``[None]`` then the star center of each step 1..T (None when empty).
+
+    Raises NotAStarError at the first non-star snapshot, so this is the
+    always-star precondition check as well.
+    """
+    return [None] + [star_center_at(g, t) for t in range(1, g.T + 1)]
+
+
 def validate_always_star(g: TemporalGraph) -> Optional[int]:
     """None if every nonempty snapshot is a star, else the first offending t."""
-    for t in range(1, g.T + 1):
-        try:
-            star_center_at(g, t)
-        except NotAStarError:
-            return t
+    try:
+        _star_centers(g)
+    except NotAStarError as exc:
+        return exc.time_step
     return None
 
 

@@ -15,17 +15,8 @@ from .graph import (
     TemporalGraph,
     VertexAppearance,
     _check_delta,
-    star_center_at,
+    _star_centers,
 )
-
-
-def _centers(g: TemporalGraph):
-    """Per-time-step star center (None for empty snapshots).
-
-    Raises NotAStarError on the first non-star snapshot, so calling this
-    doubles as the always-star precondition check.
-    """
-    return [None] + [star_center_at(g, t) for t in range(1, g.T + 1)]
 
 
 def star_sc_solve(g: TemporalGraph, delta: int) -> Cover:
@@ -35,7 +26,7 @@ def star_sc_solve(g: TemporalGraph, delta: int) -> Cover:
     not consult it.  Valid for every window size by definition.
     """
     _check_delta(g, delta)
-    centers = _centers(g)
+    centers = _star_centers(g)
     return {
         VertexAppearance(centers[t], t)
         for t in range(1, g.T + 1)
@@ -64,7 +55,7 @@ def star_acov_solve(g: TemporalGraph, delta: int) -> Cover:
     for snapshots of at most d edges.
     """
     _check_delta(g, delta)
-    centers = _centers(g)
+    centers = _star_centers(g)
     index, edges = g.time_index, g.edges
     included = bytearray(g.T + 1)
     covered = [0] * g.m  # latest included step at which each edge is active

@@ -4,6 +4,7 @@ import pytest
 
 from swtvc import (
     ALGORITHMS,
+    BadConfigError,
     EmptyInputError,
     NonPositiveSampleError,
     ParseError,
@@ -12,6 +13,7 @@ from swtvc import (
     improvement,
     run_benchmark,
     worst_case_acov_instance,
+    write_csv,
     write_native,
     write_cover,
 )
@@ -48,7 +50,8 @@ class TestRunBenchmark:
         out = tmp_path / "r.csv"
         records = run_benchmark(
             [("periodic", periodic_worst_case)], ["star-acov", "exact"], 3,
-            repetitions=3, csv_path=out)
+            repetitions=3)
+        write_csv(records, out)
         sizes = {r.algorithm: r.cover_size for r in records}
         assert sizes == {"star-acov": 4, "exact": 2}
         assert all(r.valid for r in records)
@@ -67,7 +70,8 @@ class TestRunBenchmark:
 
     def test_empty_instance_list(self, tmp_path):
         out = tmp_path / "empty.csv"
-        records = run_benchmark([], ["d-approx"], 2, csv_path=out)
+        records = run_benchmark([], ["d-approx"], 2)
+        write_csv(records, out)
         assert records == []
         assert out.read_text().strip() == ",".join(CSV_HEADER)
 
@@ -76,6 +80,21 @@ class TestRunBenchmark:
         records = run_benchmark([("ex", example_graph)], ["d-approx"], 9,
                                 repetitions=1)
         assert records[0].status == "error:BadDeltaError"
+
+    def test_star_algorithms_on_general_input_with_bad_delta(self, example_graph):
+        # the solvers check delta before the star precondition, so the
+        # star cells fail like every other algorithm's
+        algos = ["star-sc", "star-acov", "d-approx", "exact"]
+        for delta in (0, 9):
+            records = run_benchmark([("ex", example_graph)], algos, delta,
+                                    repetitions=1)
+            assert [r.status for r in records] == ["error:BadDeltaError"] * 4
+
+    def test_bad_repetitions(self, example_graph):
+        for reps in (0, -1):
+            with pytest.raises(BadConfigError, match="repetitions"):
+                run_benchmark([("ex", example_graph)], ["d-approx"], 2,
+                              repetitions=reps)
 
     def test_compare_csv_without_bench_columns(self, tmp_path):
         for text in ("a,b\n1,2\n", "", ",".join(CSV_HEADER[:-1]) + "\n"):
@@ -86,8 +105,8 @@ class TestRunBenchmark:
 
     def test_compare_csv_bad_number_names_its_line(self, tmp_path):
         out = tmp_path / "cmp.csv"
-        run_benchmark([("g", random_star_graph(2, n=16, T=16, d=4))],
-                      ["star-acov", "star-sc"], 3, repetitions=1, csv_path=out)
+        write_csv(run_benchmark([("g", random_star_graph(2, n=16, T=16, d=4))],
+                                ["star-acov", "star-sc"], 3, repetitions=1), out)
         header, row_a, row_b = out.read_text().splitlines()
         for column, bad in (("cover_size", "x"), ("time_ms_geomean", "nan"),
                             ("time_ms_geomean", "inf"), ("cover_size", "")):
@@ -105,7 +124,7 @@ class TestRunBenchmark:
     def test_compare_csv(self, tmp_path):
         g = random_star_graph(2, n=16, T=16, d=4)
         out = tmp_path / "cmp.csv"
-        run_benchmark([("g", g)], ["star-acov", "star-sc"], 3, csv_path=out)
+        write_csv(run_benchmark([("g", g)], ["star-acov", "star-sc"], 3), out)
         size_impr, time_impr = compare_csv(out, "star-acov", "star-sc")
         assert size_impr >= 0.0
         assert isinstance(time_impr, float)
@@ -156,8 +175,14 @@ class TestCli:
                                                   periodic_worst_case):
         tg = tmp_path / "p.tg"
         write_native(periodic_worst_case, tg)
+        raw = tmp_path / "raw.txt"
+        raw.write_text("1 2 3600\n")
         for argv in (["solve", "--algo", "star-sc", "--delta", "0", "--input", str(tg)],
-                     ["generate", "--n", "1", "--output", str(tmp_path / "g.tg")]):
+                     ["generate", "--n", "1", "--output", str(tmp_path / "g.tg")],
+                     ["bench", "--inputs", str(tg), "--algos", "d-approx", "--delta",
+                      "3", "--reps", "0", "--output", str(tmp_path / "b.csv")],
+                     ["convert-snap", "--input", str(raw), "--bucket-seconds", "0",
+                      "--output", str(tmp_path / "c.tg")]):
             assert cli_dispatch(argv) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: ")

@@ -99,9 +99,10 @@ class TestBruteForce:
         assert brute_force_solve(build_graph(2, 3, []), 2) == set()
 
     def test_too_large(self):
-        g = build_graph(4, 4, [(0, 1, [1, 2, 3, 4]), (2, 3, [1, 2, 3, 4])])
+        # 4 endpoints active at each of 7 steps: 28 candidates, over the 24 limit
+        g = build_graph(4, 7, [(0, 1, range(1, 8)), (2, 3, range(1, 8))])
         with pytest.raises(TooLargeError):
-            brute_force_solve(g, 2, max_candidates=4)
+            brute_force_solve(g, 2)
 
 
 class TestOracleAgreement:
@@ -115,7 +116,7 @@ class TestOracleAgreement:
                 continue
             for delta in (1, 2, 3):
                 a = exact_solve(g, delta)
-                b = brute_force_solve(g, delta, max_candidates=24)
+                b = brute_force_solve(g, delta)
                 assert len(a) == len(b)
                 assert validate_cover(g, delta, a) is None
             count += 1

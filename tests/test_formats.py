@@ -1,6 +1,7 @@
 import pytest
 
 from swtvc import (
+    BadConfigError,
     DuplicateAppearanceError,
     EmptyInputError,
     NegativeTimestampError,
@@ -83,6 +84,13 @@ class TestSizeLimit:
 
 
 class TestConvertSnap:
+    def test_bad_bucket_seconds(self, tmp_path):
+        path = tmp_path / "raw.txt"
+        path.write_text("1 2 3600\n")
+        for bucket in (0, -3600):
+            with pytest.raises(BadConfigError, match="bucket_seconds"):
+                convert_snap(path, bucket_seconds=bucket)
+
     def test_bucket_and_dedup(self, tmp_path):
         path = tmp_path / "raw.txt"
         path.write_text("1 2 7200\n2 1 3600\n")

@@ -228,6 +228,41 @@ class TestStarAcovDifferential:
                     assert star_acov_solve(g, delta) == ring_buffer_acov(g, delta)
 
 
+class TestAlwaysStarCheck:
+    """``validate_always_star`` and the star solvers share one center scan,
+    so they agree on which graphs are always-star and on the first
+    non-star step."""
+
+    def check(self, g):
+        offender = validate_always_star(g)
+        delta = max(1, min(3, g.T))
+        for solve in (star_sc_solve, star_acov_solve):
+            try:
+                solve(g, delta)
+            except NotAStarError as exc:
+                assert exc.time_step == offender
+            else:
+                assert offender is None
+
+    def test_random_general_graphs(self):
+        offenders = 0
+        for seed in range(300):
+            g = random_general_graph(seed, n=6, T=10, max_edges=6, app_prob=0.35)
+            self.check(g)
+            offenders += validate_always_star(g) is not None
+        assert 50 <= offenders <= 250  # both outcomes are well exercised
+
+    def test_random_star_graphs(self):
+        for seed in range(60):
+            g = random_star_graph(seed, n=10, T=14, d=5, empty_prob=0.2)
+            assert validate_always_star(g) is None
+            self.check(g)
+
+    def test_empty_graphs(self):
+        self.check(build_graph(3, 5, []))
+        self.check(build_graph(3, 0, []))
+
+
 @st.composite
 def small_star_graphs(draw):
     """Always-star graph with a freely drawn center and leaf set per step."""
