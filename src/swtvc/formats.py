@@ -25,8 +25,16 @@ from .graph import Cover, TemporalGraph, VertexAppearance, build_graph
 
 def _content_lines(path):
     """``(line number, stripped line)`` of each line of ``path`` that is
-    neither blank nor a ``#`` comment; numbers are 1-based."""
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    neither blank nor a ``#`` comment; numbers are 1-based.  Input that is
+    not UTF-8 raises ``ParseError`` at the line of its first bad byte."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the "x" makes a prefix ending in a line break count the next line
+        before = data[:exc.start].decode("utf-8") + "x"
+        raise ParseError(len(before.splitlines()), "input is not UTF-8 text") from None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if line and not line.startswith("#"):
             yield lineno, line

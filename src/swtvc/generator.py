@@ -73,7 +73,7 @@ def generate_always_star(cfg: GeneratorConfig) -> TemporalGraph:
         k = rng.randint(1, cfg.d)
         taken = set(leaves)
         candidates = [v for v in range(cfg.n) if v != center and v not in taken]
-        rng.shuffle(candidates)
+        _shuffle_tail(rng, candidates, k - len(leaves))
         while len(leaves) < k and candidates:
             leaves.append(candidates.pop())
         del leaves[k:]
@@ -82,6 +82,32 @@ def generate_always_star(cfg: GeneratorConfig) -> TemporalGraph:
             labels.setdefault(key, []).append(t)
     edge_list = [(u, v, ts) for (u, v), ts in sorted(labels.items())]
     return build_graph(cfg.n, cfg.T, edge_list)
+
+
+def _shuffle_tail(rng, x, count):
+    """Leave in the last ``count`` slots of ``x`` what ``rng.shuffle(x)``
+    would, and ``rng`` in the state ``shuffle`` would leave it in; the
+    slots before them are not shuffled.
+
+    ``random.Random.shuffle`` swaps ``x[i]`` with ``x[j]`` for i = len(x)-1
+    down to 1, drawing j < i+1 by rejection sampling from
+    ``getrandbits((i+1).bit_length())``, and never touches slot i again.
+    This makes the same draws but swaps only the slots the caller pops, so
+    generated instances are those of a full shuffle.
+    """
+    getrandbits = rng.getrandbits
+    stop = max(len(x) - max(count, 0), 1)
+    for i in range(len(x) - 1, stop - 1, -1):
+        m = i + 1
+        k = m.bit_length()
+        j = getrandbits(k)
+        while j >= m:
+            j = getrandbits(k)
+        x[i], x[j] = x[j], x[i]
+    for m in range(stop, 1, -1):  # the draws for slots below stop
+        k = m.bit_length()
+        while getrandbits(k) >= m:
+            pass
 
 
 def worst_case_acov_instance(delta: int, reps: int, leaves: int = None) -> TemporalGraph:

@@ -283,3 +283,22 @@ class TestCli:
         assert cli_dispatch(["convert-snap", "--input", str(raw),
                              "--output", str(tmp_path / "conv.tg")]) == 2
         assert "line 2: bad timestamp 'inf'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "solve", "convert-snap"])
+    def test_non_utf8_input_exits_2(self, tmp_path, capsys, periodic_worst_case,
+                                    command):
+        tg, bad = tmp_path / "p.tg", tmp_path / "bad"
+        write_native(periodic_worst_case, tg)
+        bad.write_bytes(b"0 1\n\xff\n")
+        argv = {
+            "validate": ["validate", "--input", str(tg), "--delta", "1",
+                         "--cover", str(bad)],
+            "solve": ["solve", "--algo", "star-acov", "--delta", "1",
+                      "--input", str(bad)],
+            "convert-snap": ["convert-snap", "--input", str(bad),
+                             "--output", str(tmp_path / "conv.tg")],
+        }[command]
+        assert cli_dispatch(argv) == 2
+        err = capsys.readouterr().err
+        assert "error: line 2: input is not UTF-8 text" in err
+        assert "Traceback" not in err

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swtvc import (
     BadConfigError,
@@ -7,6 +9,7 @@ from swtvc import (
     NegativeTimestampError,
     ParseError,
     TooLargeError,
+    TvcError,
     convert_snap,
     parse_cover,
     parse_native,
@@ -204,9 +207,36 @@ class TestParseErrorLines:
         path.write_text("0 1\n# cover\n\n0 1 2\n")
         assert self.line_of(parse_cover, path) == 4
 
+    @pytest.mark.parametrize("parse", [parse_native, convert_snap, parse_cover])
+    def test_non_utf8(self, tmp_path, parse):
+        path = tmp_path / "bad"
+        path.write_bytes(b"\xff\n")
+        assert self.line_of(parse, path) == 1
+        path.write_bytes(b"# \xc3\xa9 is UTF-8\r\n\n0 1\x0c1 2 \xe9\n")
+        assert self.line_of(parse, path) == 4
+        path.write_bytes(b"0 1\n\xc3")  # truncated two-byte sequence
+        assert self.line_of(parse, path) == 2
+
 
 def test_generator_emits_via_native_writer(tmp_path):
     g = random_star_graph(4, n=12, T=10, d=3)
     path = tmp_path / "gen.tg"
     write_native(g, path)
     assert parse_native(path) == g
+
+
+# raw bytes, and byte strings built from tokens that come near valid input
+_tokens = st.sampled_from([b"0", b"1", b"2", b"9", b"-", b".", b"e", b" ", b"\t",
+                           b"\n", b"\r", b"#", b"\xc3", b"\xa9", b"\xff"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=64) | st.lists(_tokens, max_size=40).map(b"".join))
+def test_parsers_accept_or_raise_tvc_error_on_any_bytes(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "any_bytes_input"
+    path.write_bytes(data)
+    for parse in (parse_native, convert_snap, parse_cover):
+        try:
+            parse(path)
+        except TvcError:
+            pass

@@ -1,3 +1,4 @@
+import random
 import tempfile
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from swtvc import (
     worst_case_sc_instance,
     write_native,
 )
+from swtvc.generator import _shuffle_tail
 
 
 class TestGenerateAlwaysStar:
@@ -84,6 +86,67 @@ class TestGenerateAlwaysStar:
         with pytest.raises(BadConfigError):
             generate_always_star(
                 GeneratorConfig(n=4, T=4, d=2, seed=0, empty_snapshot_prob=1.5))
+
+
+def shuffle_reference_star(cfg):
+    """Reference for ``generate_always_star``: the same step loop with a
+    full ``rng.shuffle`` of every candidate list.  Returns the edge list."""
+    rng = random.Random(cfg.seed)
+    labels = {}
+    center = 0 if cfg.underlying_star else rng.randrange(cfg.n)
+    leaves = []
+    for t in range(1, cfg.T + 1):
+        if cfg.d == 0:
+            continue
+        if cfg.empty_snapshot_prob and rng.random() < cfg.empty_snapshot_prob:
+            continue
+        if not cfg.underlying_star and rng.random() < cfg.center_switch_prob:
+            center = rng.randrange(cfg.n)
+            leaves = []
+        leaves = [l for l in leaves if rng.random() < cfg.persistence]
+        k = rng.randint(1, cfg.d)
+        taken = set(leaves)
+        candidates = [v for v in range(cfg.n) if v != center and v not in taken]
+        rng.shuffle(candidates)
+        while len(leaves) < k and candidates:
+            leaves.append(candidates.pop())
+        del leaves[k:]
+        for leaf in leaves:
+            key = (center, leaf) if center < leaf else (leaf, center)
+            labels.setdefault(key, []).append(t)
+    return [(u, v, tuple(ts)) for (u, v), ts in sorted(labels.items())]
+
+
+class TestShuffleTail:
+    def test_tail_and_rng_state_match_shuffle(self):
+        for length in range(131):
+            for count in range(-2, length + 3):
+                seed = length * 1000 + count + 2
+                full, tail = random.Random(seed), random.Random(seed)
+                expected, got = list(range(length)), list(range(length))
+                full.shuffle(expected)
+                _shuffle_tail(tail, got, count)
+                first = max(length - count, 0)
+                assert got[first:] == expected[first:], (length, count)
+                assert tail.getstate() == full.getstate(), (length, count)
+
+    def test_generator_matches_full_shuffle(self):
+        rng = random.Random(0)
+        configs = [GeneratorConfig(n=1, T=6, d=0, seed=3),
+                   GeneratorConfig(n=2, T=9, d=1, seed=4)]
+        for seed in range(300):
+            n = rng.choice([1, 2, rng.randint(3, 12), rng.randint(13, 90)])
+            configs.append(GeneratorConfig(
+                n=n, T=rng.randint(0, 30),
+                d=0 if n == 1 or seed % 10 == 0 else rng.randint(1, n - 1),
+                seed=seed, underlying_star=seed % 3 == 0,
+                empty_snapshot_prob=rng.choice([0.0, 0.3, 1.0]),
+                persistence=rng.choice([0.0, 0.5, 0.9, 1.0]),
+                center_switch_prob=rng.choice([0.0, 0.1, 1.0])))
+        for cfg in configs:
+            g = generate_always_star(cfg)
+            got = [(e.u, e.v, e.appearances) for e in g.edges]
+            assert got == shuffle_reference_star(cfg), cfg
 
 
 class TestWorstCaseAcovFamily:
