@@ -4,6 +4,7 @@ percentages and CSV reports."""
 from __future__ import annotations
 
 import csv
+import io
 import math
 import time
 from dataclasses import dataclass
@@ -19,6 +20,7 @@ from .errors import (
     TvcError,
 )
 from .exact import exact_solve
+from .formats import _read_text
 from .graph import TemporalGraph, validate_cover
 from .star import star_acov_solve, star_sc_solve
 
@@ -137,13 +139,17 @@ def write_csv(records: Sequence[BenchRecord], path) -> None:
 
 def read_csv(path) -> List[Tuple[int, dict]]:
     """Rows of a benchmark CSV, each with the 1-based line it ends on;
-    ParseError when a ``CSV_HEADER`` column is missing."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+    ParseError when a ``CSV_HEADER`` column is missing or a line is not
+    UTF-8 or not CSV the csv module accepts (e.g. an oversized field)."""
+    reader = csv.DictReader(io.StringIO(_read_text(path), newline=""))
+    try:
         missing = [c for c in CSV_HEADER if c not in (reader.fieldnames or ())]
         if missing:
             raise ParseError(1, f"not a benchmark CSV, missing columns {missing}")
         return [(reader.line_num, row) for row in reader]
+    except csv.Error as exc:
+        # DictReader.line_num lags behind on a failed row; its reader's does not
+        raise ParseError(reader.reader.line_num, f"bad CSV: {exc}") from None
 
 
 def _number(row: dict, column: str, line: int) -> float:

@@ -5,7 +5,7 @@ takes the union (a d-approximation on always degree-at-most-d graphs).
 ``d_approx_s_solve`` is the engineered variant: the same solution computed
 by walking the appearance lists instead of every time step.
 ``d1_approx_solve`` covers two-edge paths through their middle vertex, a
-(d-1)-approximation.
+heuristic with no proven bound.
 """
 
 from __future__ import annotations
@@ -17,10 +17,9 @@ from .graph import (
     TemporalGraph,
     VertexAppearance,
     _check_delta,
-    _demand_intervals,
+    _demand_buckets,
     _window_starts,
 )
-from .errors import BadDeltaError
 
 
 def single_edge_exact(appearances, T: int, delta: int):
@@ -30,8 +29,7 @@ def single_edge_exact(appearances, T: int, delta: int):
     first uncovered one, take the largest appearance inside it.  Returns
     the chosen time steps in increasing order.
     """
-    if not (1 <= delta <= T) and not (T == 0 and delta >= 1):
-        raise BadDeltaError(f"delta {delta} outside [1, {T}]")
+    _check_delta(T, delta)
     apps = list(appearances)
     chosen = []
     last_start = T - delta + 1
@@ -64,7 +62,7 @@ def chosen_endpoint(g: TemporalGraph, eid: int) -> int:
 def d_approx_solve(g: TemporalGraph, delta: int) -> Cover:
     """Per-edge exact single-edge covers, union taken; iterates every time
     step of every edge (the original per-edge, per-step traversal)."""
-    _check_delta(g, delta)
+    _check_delta(g.T, delta)
     T = g.T
     last_start = T - delta + 1
     cover = set()
@@ -91,7 +89,7 @@ def d_approx_solve(g: TemporalGraph, delta: int) -> Cover:
 def d_approx_s_solve(g: TemporalGraph, delta: int) -> Cover:
     """Same contract and same output set as ``d_approx_solve``; skips time
     steps without an edge appearance by walking the appearance lists."""
-    _check_delta(g, delta)
+    _check_delta(g.T, delta)
     cover = set()
     for eid, edge in enumerate(g.edges):
         v = chosen_endpoint(g, eid)
@@ -103,58 +101,51 @@ def d_approx_s_solve(g: TemporalGraph, delta: int) -> Cover:
 def d1_approx_solve(g: TemporalGraph, delta: int) -> Cover:
     """Cover two-edge paths through their shared (middle) vertex.
 
-    Demands are processed in (window, edge) order against a ledger of
-    still-unsatisfied window starts.  For an open demand we scan the edge's
-    in-window appearances from latest to earliest for an adjacent edge that
-    is active there and still has an open demand around that step; the
-    shared endpoint then covers both.  Without such a partner we fall back
-    to the single-edge rule.  The greedy never looks back, so an early
-    pairing pick can end up subsumed by later picks; that slack is what the
-    windowed star solver exploits on dense instances.
+    Demands are processed in (window, edge) order against a ledger of the
+    window starts each edge already has covered, empty at first.  For an
+    uncovered demand we scan the edge's in-window appearances from latest
+    to earliest for an adjacent edge that is active there and still has an
+    uncovered window start around that step; the shared endpoint then
+    covers both.  Without such a partner we fall back to the single-edge
+    rule.  The greedy never looks back, so an early pairing pick can end up
+    subsumed by later picks; that slack is what the windowed star solver
+    exploits on dense instances.
     """
-    _check_delta(g, delta)
+    _check_delta(g.T, delta)
     T = g.T
     edges, index = g.edges, g.time_index
-
-    ledger = []  # eid -> set of unsatisfied window starts
-    by_start = [[] for _ in range(T - delta + 2)]  # start -> edge ids, increasing
-    for eid, edge in enumerate(edges):
-        open_starts = set()
-        for lo, hi in _demand_intervals(edge.appearances, T, delta):
-            open_starts.update(range(lo, hi + 1))
-            for w in range(lo, hi + 1):
-                by_start[w].append(eid)
-        ledger.append(open_starts)
-    order = ((t, eid) for t, eids in enumerate(by_start) for eid in eids)
+    # every start around an appearance of an edge is a demand of that edge
+    done = [set() for _ in edges]  # eid -> covered window starts
 
     cover = set()
-    for t, eid in order:
-        if t not in ledger[eid]:
-            continue
-        edge = edges[eid]
-        ends = (edge.u, edge.v)
-        apps = edge.appearances
-        in_window = apps[bisect_left(apps, t):bisect_right(apps, t + delta - 1)]
+    for t, eids in enumerate(_demand_buckets(g, delta)):
+        for eid in eids:
+            if t in done[eid]:
+                continue
+            edge = edges[eid]
+            ends = (edge.u, edge.v)
+            apps = edge.appearances
+            in_window = apps[bisect_left(apps, t):bisect_right(apps, t + delta - 1)]
 
-        # the snapshot lists edge ids in increasing order
-        picked = None
-        for tp in reversed(in_window):
+            # the snapshot lists edge ids in increasing order
+            picked = None
+            for tp in reversed(in_window):
+                starts = _window_starts(tp, T, delta)
+                for fid in index[tp]:
+                    f = edges[fid]
+                    if (fid != eid and (f.u in ends or f.v in ends)
+                            and not done[fid].issuperset(starts)):
+                        picked = (f.u if f.u in ends else f.v, tp)
+                        break
+                if picked:
+                    break
+            if picked is None:
+                picked = (chosen_endpoint(g, eid), in_window[-1])
+
+            cover.add(VertexAppearance(*picked))
+            v, tp = picked
             starts = _window_starts(tp, T, delta)
             for fid in index[tp]:
-                f = edges[fid]
-                if (fid != eid and (f.u in ends or f.v in ends)
-                        and not ledger[fid].isdisjoint(starts)):
-                    picked = (f.u if f.u in ends else f.v, tp)
-                    break
-            if picked:
-                break
-        if picked is None:
-            picked = (chosen_endpoint(g, eid), in_window[-1])
-
-        cover.add(VertexAppearance(*picked))
-        v, tp = picked
-        starts = _window_starts(tp, T, delta)
-        for fid in index[tp]:
-            if v in (edges[fid].u, edges[fid].v):
-                ledger[fid].difference_update(starts)
+                if v in (edges[fid].u, edges[fid].v):
+                    done[fid].update(starts)
     return cover

@@ -78,7 +78,7 @@ def exact_solve(g: TemporalGraph, delta: int, budget: int = DEFAULT_BUDGET) -> C
     bytes for the stacked open-demand bitmasks plus that capped table.
     Raises BudgetExceededError after ``budget`` search nodes.
     """
-    _check_delta(g, delta)
+    _check_delta(g.T, delta)
     ds, cands, masks = _coverage(g, delta)
     if not ds:
         return set()
@@ -161,7 +161,7 @@ def brute_force_solve(g: TemporalGraph, delta: int) -> Cover:
     Raises TooLargeError past ``_BRUTE_FORCE_CANDIDATES`` (24) candidate
     appearances.
     """
-    _check_delta(g, delta)
+    _check_delta(g.T, delta)
     ds, cands, masks = _coverage(g, delta)
     if not ds:
         return set()

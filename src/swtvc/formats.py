@@ -23,18 +23,22 @@ from .errors import (
 from .graph import Cover, TemporalGraph, VertexAppearance, build_graph
 
 
-def _content_lines(path):
-    """``(line number, stripped line)`` of each line of ``path`` that is
-    neither blank nor a ``#`` comment; numbers are 1-based.  Input that is
-    not UTF-8 raises ``ParseError`` at the line of its first bad byte."""
+def _read_text(path) -> str:
+    """The text of ``path``; input that is not UTF-8 raises ``ParseError``
+    at the 1-based line of its first bad byte."""
     data = Path(path).read_bytes()
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         # the "x" makes a prefix ending in a line break count the next line
         before = data[:exc.start].decode("utf-8") + "x"
         raise ParseError(len(before.splitlines()), "input is not UTF-8 text") from None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+
+
+def _content_lines(path):
+    """``(line number, stripped line)`` of each line of ``path`` that is
+    neither blank nor a ``#`` comment; numbers are 1-based."""
+    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.strip()
         if line and not line.startswith("#"):
             yield lineno, line

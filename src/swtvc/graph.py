@@ -11,7 +11,7 @@ and adjacency lookups are direct array accesses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import (
     BadDeltaError,
@@ -182,9 +182,9 @@ def validate_always_star(g: TemporalGraph) -> Optional[int]:
     return None
 
 
-def _check_delta(g: TemporalGraph, delta: int) -> None:
-    if not (1 <= delta <= g.T) and not (g.T == 0 and delta >= 1):
-        raise BadDeltaError(f"delta {delta} outside [1, {g.T}]")
+def _check_delta(T: int, delta: int) -> None:
+    if not (1 <= delta <= T) and not (T == 0 and delta >= 1):
+        raise BadDeltaError(f"delta {delta} outside [1, {T}]")
 
 
 def _window_starts(t: int, T: int, delta: int) -> range:
@@ -192,37 +192,32 @@ def _window_starts(t: int, T: int, delta: int) -> range:
     return range(max(1, t - delta + 1), min(t, T - delta + 1) + 1)
 
 
-def _demand_intervals(appearances: Sequence[int], T: int, delta: int) -> list:
-    """An edge's demand window starts as merged, disjoint ``(lo, hi)`` intervals.
+def _demand_buckets(g: TemporalGraph, delta: int) -> list:
+    """Edge ids with a demand at each window start, increasing per start.
 
-    Appearance ``a`` lies in the windows starting at
-    ``max(1, a - delta + 1) .. min(a, T - delta + 1)``; overlapping or
-    adjacent ranges are merged, and the intervals come out in increasing
-    order.  ``delta`` must already have passed ``_check_delta``, so every
-    range is nonempty.
+    ``buckets[w]`` (w in 1..T-delta+1) lists the edges that appear inside
+    the window starting at ``w``; index 0 is empty.  Appearance ``a`` opens
+    the starts in ``_window_starts(a)``, and since appearances increase
+    strictly it only adds those past the last start its predecessor
+    reached.  ``delta`` must already have passed ``_check_delta``.
     """
-    last_start = T - delta + 1
-    out = []
-    for a in appearances:
-        lo = max(1, a - delta + 1)
-        hi = min(a, last_start)
-        # appearances increase strictly, so lo and hi never decrease
-        if out and lo <= out[-1][1] + 1:
-            out[-1] = (out[-1][0], hi)
-        else:
-            out.append((lo, hi))
-    return out
+    last_start = g.T - delta + 1
+    buckets = [[] for _ in range(last_start + 1)]
+    for eid, edge in enumerate(g.edges):
+        reached = 0  # last start already listed for this edge
+        for a in edge.appearances:
+            hi = min(a, last_start)
+            for w in range(max(reached + 1, a - delta + 1), hi + 1):
+                buckets[w].append(eid)
+            reached = hi
+    return buckets
 
 
 def demands(g: TemporalGraph, delta: int) -> list:
     """All (edge, window) demands, sorted by (window_start, edge id)."""
-    _check_delta(g, delta)
-    by_start = [[] for _ in range(g.T - delta + 2)]
-    for eid, edge in enumerate(g.edges):
-        for lo, hi in _demand_intervals(edge.appearances, g.T, delta):
-            for w in range(lo, hi + 1):
-                by_start[w].append(eid)
-    return [Demand(eid, w) for w, eids in enumerate(by_start) for eid in eids]
+    _check_delta(g.T, delta)
+    return [Demand(eid, w) for w, eids in enumerate(_demand_buckets(g, delta))
+            for eid in eids]
 
 
 def validate_cover(g: TemporalGraph, delta: int, cover: Cover) -> Optional[Demand]:
@@ -241,7 +236,7 @@ def validate_cover(g: TemporalGraph, delta: int, cover: Cover) -> Optional[Deman
     candidate still open a full window later, or at the end of the list, is
     the edge's first gap.
     """
-    _check_delta(g, delta)
+    _check_delta(g.T, delta)
     at: dict = {}  # time step -> cover vertices at that step
     for va in cover:
         v, t = va

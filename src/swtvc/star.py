@@ -25,7 +25,7 @@ def star_sc_solve(g: TemporalGraph, delta: int) -> Cover:
     ``delta`` only parameterizes the validity claim; the construction does
     not consult it.  Valid for every window size by definition.
     """
-    _check_delta(g, delta)
+    _check_delta(g.T, delta)
     centers = _star_centers(g)
     return {
         VertexAppearance(centers[t], t)
@@ -54,7 +54,7 @@ def star_acov_solve(g: TemporalGraph, delta: int) -> Cover:
     per edge without an included step: O(delta * d) plus those searches
     for snapshots of at most d edges.
     """
-    _check_delta(g, delta)
+    _check_delta(g.T, delta)
     centers = _star_centers(g)
     index, edges = g.time_index, g.edges
     included = bytearray(g.T + 1)

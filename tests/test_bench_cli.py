@@ -1,6 +1,8 @@
 import csv
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swtvc import (
     ALGORITHMS,
@@ -8,6 +10,7 @@ from swtvc import (
     EmptyInputError,
     NonPositiveSampleError,
     ParseError,
+    TvcError,
     build_graph,
     geometric_mean,
     improvement,
@@ -128,6 +131,34 @@ class TestRunBenchmark:
         size_impr, time_impr = compare_csv(out, "star-acov", "star-sc")
         assert size_impr >= 0.0
         assert isinstance(time_impr, float)
+
+
+_HEADER = (",".join(CSV_HEADER) + "\n").encode()
+_ROW = b"g,star-sc,3,4,true,1.0,1\n"
+
+#: (what is wrong, its 1-based line) -> benchmark CSV bytes compare rejects
+BAD_CSVS = {
+    ("non-UTF-8 byte", 3): _HEADER + _ROW + b"g,star-acov,3,\xff,true,1.0,1\n",
+    ("field over the csv module's limit", 3):
+        _HEADER + _ROW + b'g,star-acov,3,"' + b"9" * 131073 + b'",true,1.0,1\n',
+}
+
+
+# raw bytes, and byte strings built from tokens that come near a benchmark CSV
+_csv_tokens = st.sampled_from([_HEADER, _ROW, b"star-acov", b"star-sc", b"g", b"3",
+                               b"0", b"-1", b"1e999", b"nan", b"true", b",", b'"',
+                               b"\n", b"\r", b"\x00", b"\xc3", b"\xff"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=64) | st.lists(_csv_tokens, max_size=40).map(b"".join))
+def test_compare_csv_accepts_or_raises_tvc_error_on_any_bytes(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "any_bytes.csv"
+    path.write_bytes(data)
+    try:
+        compare_csv(path, "star-acov", "star-sc")
+    except TvcError:
+        pass
 
 
 class TestCli:
@@ -268,6 +299,16 @@ class TestCli:
         assert cli_dispatch(["compare", "--csv", str(out), "--algo-a",
                              "star-acov", "--algo-b", "star-sc"]) == 2
         assert "line 2: bad cover_size 'x'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("problem", BAD_CSVS)
+    def test_compare_unreadable_csv_exits_2(self, tmp_path, capsys, problem):
+        out = tmp_path / "bench.csv"
+        out.write_bytes(BAD_CSVS[problem])
+        assert cli_dispatch(["compare", "--csv", str(out), "--algo-a",
+                             "star-acov", "--algo-b", "star-sc"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line {problem[1]}: ")
+        assert "Traceback" not in err
 
     def test_convert_snap(self, tmp_path):
         raw = tmp_path / "raw.txt"

@@ -14,6 +14,7 @@ from swtvc import (
     d1_approx_solve,
     d_approx_s_solve,
     d_approx_solve,
+    demands,
     exact_solve,
     generate_always_star,
     max_snapshot_degree,
@@ -22,7 +23,6 @@ from swtvc import (
     worst_case_acov_instance,
     worst_case_sc_instance,
 )
-from swtvc.graph import _demand_intervals
 
 from conftest import random_general_graph, random_star_graph
 
@@ -136,16 +136,11 @@ def adjacency_d1(g, delta):
     last_start = T - delta + 1
     app_sets = [frozenset(e.appearances) for e in g.edges]
 
-    ledger = []
-    by_start = [[] for _ in range(last_start + 1)]
-    for eid, edge in enumerate(g.edges):
-        open_starts = set()
-        for lo, hi in _demand_intervals(edge.appearances, T, delta):
-            open_starts.update(range(lo, hi + 1))
-            for w in range(lo, hi + 1):
-                by_start[w].append(eid)
-        ledger.append(open_starts)
-    order = ((t, eid) for t, eids in enumerate(by_start) for eid in eids)
+    ledger = [set() for _ in g.edges]  # eid -> open window starts
+    order = []
+    for eid, t in demands(g, delta):
+        ledger[eid].add(t)
+        order.append((t, eid))
 
     adjacent_cache = {}
 
