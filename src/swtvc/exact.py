@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .degree import d_approx_s_solve
-from .errors import BudgetExceededError, TooLargeError
+from .errors import BadConfigError, BudgetExceededError, TooLargeError
 from .graph import (
     Cover,
     TemporalGraph,
@@ -76,9 +76,12 @@ def exact_solve(g: TemporalGraph, delta: int, budget: int = DEFAULT_BUDGET) -> C
     ``_REPLAY_TABLE_BYTES`` (each entry charged its mask's bytes plus
     ``_REPLAY_ENTRY_BYTES``).  Memory is O(depth * fan-out * |demands| / 8)
     bytes for the stacked open-demand bitmasks plus that capped table.
-    Raises BudgetExceededError after ``budget`` search nodes.
+    Raises BudgetExceededError after ``budget`` search nodes, and
+    BadConfigError before any search when ``budget`` is below 1.
     """
     _check_delta(g.T, delta)
+    if budget < 1:
+        raise BadConfigError(f"node budget must be at least 1, got {budget}")
     ds, cands, masks = _coverage(g, delta)
     if not ds:
         return set()

@@ -11,6 +11,7 @@ and adjacency lookups are direct array accesses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import (
@@ -151,17 +152,23 @@ def star_center_at(g: TemporalGraph, t: int) -> Optional[int]:
     active = edges_at(g, t)
     if not active:
         return None
-    first = g.edges[active[0]]
+    edges = g.edges
+    u, v, _ = edges[active[0]]
     if len(active) == 1:
-        return min(first.u, first.v)
-    common = {first.u, first.v}
-    for eid in active[1:]:
-        e = g.edges[eid]
-        common &= {e.u, e.v}
-        if not common:
+        return min(u, v)
+    # two distinct edges share at most one endpoint: the only candidate
+    a, b, _ = edges[active[1]]
+    if u == a or u == b:
+        center = u
+    elif v == a or v == b:
+        center = v
+    else:
+        raise NotAStarError(t)
+    for eid in active[2:]:
+        a, b, _ = edges[eid]
+        if a != center and b != center:
             raise NotAStarError(t)
-    # two or more distinct edges share at most one endpoint
-    return next(iter(common))
+    return center
 
 
 def _star_centers(g: TemporalGraph) -> list:
@@ -216,8 +223,13 @@ def _demand_buckets(g: TemporalGraph, delta: int) -> list:
 def demands(g: TemporalGraph, delta: int) -> list:
     """All (edge, window) demands, sorted by (window_start, edge id)."""
     _check_delta(g.T, delta)
-    return [Demand(eid, w) for w, eids in enumerate(_demand_buckets(g, delta))
-            for eid in eids]
+    buckets = _demand_buckets(g, delta)
+    # C-level loops throughout: each start repeated once per edge in its
+    # bucket, and each Demand made by tuple.__new__ (as Demand._make does)
+    # rather than through the namedtuple's Python-level __new__
+    starts = chain.from_iterable(map(repeat, range(len(buckets)), map(len, buckets)))
+    return list(map(tuple.__new__, repeat(Demand),
+                    zip(chain.from_iterable(buckets), starts)))
 
 
 def validate_cover(g: TemporalGraph, delta: int, cover: Cover) -> Optional[Demand]:

@@ -209,6 +209,8 @@ class TestCli:
         raw = tmp_path / "raw.txt"
         raw.write_text("1 2 3600\n")
         for argv in (["solve", "--algo", "star-sc", "--delta", "0", "--input", str(tg)],
+                     ["solve", "--algo", "exact", "--delta", "3", "--budget", "-5",
+                      "--input", str(tg)],
                      ["generate", "--n", "1", "--output", str(tmp_path / "g.tg")],
                      ["bench", "--inputs", str(tg), "--algos", "d-approx", "--delta",
                       "3", "--reps", "0", "--output", str(tmp_path / "b.csv")],

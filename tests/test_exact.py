@@ -6,6 +6,7 @@ from math import ceil
 import pytest
 
 from swtvc import (
+    BadConfigError,
     BudgetExceededError,
     VertexAppearance,
     TooLargeError,
@@ -48,6 +49,14 @@ class TestExactSolve:
         g = random_general_graph(3, n=8, T=8, max_edges=10)
         with pytest.raises(BudgetExceededError):
             exact_solve(g, 2, budget=1)
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_below_one_rejected_before_search(self, budget):
+        # also on an empty graph, which needs no search node at all
+        for g in (random_general_graph(3, n=8, T=8, max_edges=10),
+                  build_graph(3, 4, [])):
+            with pytest.raises(BadConfigError, match="at least 1"):
+                exact_solve(g, 2, budget=budget)
 
     def test_search_deeper_than_recursion_limit_is_solved(self):
         # With delta = 1, edges (0,1) and (0,2) at steps 1..k need (0, t)
@@ -311,7 +320,8 @@ class TestExactReplay:
             except BudgetExceededError:
                 continue
             decided += 1
-            assert exact_solve(g, delta, budget=n) == cover
+            # no demands take no node, but the smallest budget allowed is 1
+            assert exact_solve(g, delta, budget=max(n, 1)) == cover
             if n > 1:
                 with pytest.raises(BudgetExceededError):
                     exact_solve(g, delta, budget=n - 1)

@@ -115,6 +115,50 @@ class TestStarCenter:
         assert star_center_at(g, 2) is None
 
 
+def star_center_reference(g, t):
+    """Set-intersection star center: the endpoints common to all active
+    edges, None when the snapshot is empty, the smaller endpoint of a
+    lone edge."""
+    active = edges_at(g, t)
+    if not active:
+        return None
+    first = g.edges[active[0]]
+    if len(active) == 1:
+        return min(first.u, first.v)
+    common = {first.u, first.v}
+    for eid in active[1:]:
+        e = g.edges[eid]
+        common &= {e.u, e.v}
+        if not common:
+            raise NotAStarError(t)
+    return next(iter(common))
+
+
+def star_center_outcome(center_at, g, t):
+    try:
+        return center_at(g, t)
+    except NotAStarError as exc:
+        return ("not a star", exc.time_step)
+
+
+class TestStarCenterDifferential:
+    def check(self, graphs):
+        for g in graphs:
+            for t in range(1, g.T + 1):
+                assert (star_center_outcome(star_center_at, g, t)
+                        == star_center_outcome(star_center_reference, g, t))
+
+    def test_random_general_graphs(self):
+        # few vertices make snapshots of several edges that are stars,
+        # triangles and matchings alike
+        self.check(random_general_graph(seed, n=n, T=10, max_edges=8, app_prob=0.6)
+                   for seed in range(150) for n in (3, 4, 6))
+
+    def test_random_star_graphs(self):
+        self.check(random_star_graph(seed, n=12, T=10, d=d, empty_prob=0.2)
+                   for seed in range(40) for d in (1, 3, 6))
+
+
 class TestValidateAlwaysStar:
     def test_periodic_family_is_star(self, periodic_worst_case):
         assert validate_always_star(periodic_worst_case) is None
@@ -124,6 +168,15 @@ class TestValidateAlwaysStar:
 
     def test_empty_graph(self):
         assert validate_always_star(build_graph(3, 4, [])) is None
+
+
+def demands_reference(g, delta):
+    """(e, w) for every start w in 1..T-delta+1 whose window
+    [w, w+delta-1] holds an appearance of e, sorted by (w, e)."""
+    return [Demand(eid, w)
+            for w in range(1, g.T - delta + 2)
+            for eid, e in enumerate(g.edges)
+            if any(w <= a <= w + delta - 1 for a in e.appearances)]
 
 
 class TestDemands:
@@ -142,6 +195,10 @@ class TestDemands:
     def test_empty_graph(self):
         assert demands(build_graph(2, 3, []), 2) == []
 
+    def test_zero_lifetime(self):
+        for delta in (1, 2):
+            assert demands(build_graph(2, 0, []), delta) == []
+
     def test_delta_one_counts_appearances(self):
         for seed in range(6):
             g = random_general_graph(seed)
@@ -155,18 +212,12 @@ class TestDemands:
             demands(example_graph, 4)
 
     def test_matches_window_definition(self):
-        # (e, w) for every start w in 1..T-delta+1 whose window
-        # [w, w+delta-1] holds an appearance of e, sorted by (w, e)
         graphs = [random_general_graph(s, n=7, T=14, max_edges=9)
                   for s in range(25)]
         graphs += [random_star_graph(s, n=9, T=12, d=4) for s in range(10)]
         for g in graphs:
             for delta in range(1, g.T + 1):
-                brute = [Demand(eid, w)
-                         for w in range(1, g.T - delta + 2)
-                         for eid, e in enumerate(g.edges)
-                         if any(w <= a <= w + delta - 1 for a in e.appearances)]
-                assert demands(g, delta) == brute
+                assert demands(g, delta) == demands_reference(g, delta)
 
 
 class TestValidateCover:
@@ -300,6 +351,33 @@ def test_validate_cover_matches_scan_on_long_lifetimes(g, seed):
     for delta in range(1, g.T + 1):
         for cover in random_covers(g, rng, 2):
             assert validate_cover(g, delta, cover) == demand_scan(g, delta, cover)
+
+
+@st.composite
+def sparse_graphs_and_deltas(draw):
+    """Lifetimes up to 300 (0 included) with a few appearances per edge,
+    so most window starts hold no demand; Δ is 1, T or anything between."""
+    T = draw(st.integers(0, 300))
+    n = draw(st.integers(2, 6))
+    edge_list = []
+    for _ in range(draw(st.integers(0, 6)) if T else 0):
+        u, v = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                             unique=True))
+        labels = draw(st.sets(st.integers(1, T), min_size=1, max_size=4))
+        edge_list.append((u, v, sorted(labels)))
+    top = max(T, 1)
+    delta = draw(st.one_of(st.just(1), st.just(top), st.integers(1, top)))
+    return build_graph(n, T, edge_list), delta
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_graphs_and_deltas())
+def test_demands_match_reference_on_sparse_lifetimes(case):
+    g, delta = case
+    ds = demands(g, delta)
+    assert ds == demands_reference(g, delta)
+    assert all(type(d) is Demand for d in ds)
+    assert [(d.edge, d.window_start) for d in ds] == [tuple(d) for d in ds]
 
 
 @settings(max_examples=60, deadline=None)
