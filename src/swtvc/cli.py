@@ -58,8 +58,8 @@ def _build_parser():
     p.add_argument("--input", required=True)
     p.add_argument("--output", default=None, help="cover file destination")
     p.add_argument("--validate", action="store_true")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help="node limit for the exact solver")
+    p.add_argument("--budget", type=int, default=None,
+                   help=f"node limit of --algo exact (default {DEFAULT_BUDGET})")
 
     p = sub.add_parser("validate", help="check a cover file against an instance")
     p.add_argument("--input", required=True)
@@ -114,12 +114,14 @@ def _report_invalid(g, witness):
 
 
 def _cmd_solve(args):
+    kwargs = {}
+    if args.budget is not None:
+        if args.algo != "exact":
+            raise BadConfigError(f"--budget applies only to --algo exact, not {args.algo}")
+        kwargs["budget"] = args.budget
     g = formats.parse_native(args.input)
     solver = bench_mod.ALGORITHMS[args.algo]
-    if args.algo == "exact":
-        cover = solver(g, args.delta, budget=args.budget)
-    else:
-        cover = solver(g, args.delta)
+    cover = solver(g, args.delta, **kwargs)
     if args.output:
         formats.write_cover(cover, args.output)
     print(f"{args.algo} delta={args.delta}: cover size {len(cover)}")

@@ -4,11 +4,14 @@
 enumerates candidate subsets by increasing size and cross-checks the
 oracle.  Candidate appearances are restricted to (v, t) where v has an
 active edge at t; anything else covers nothing.  Both keep sets of
-demands as integer bitmasks, bit i standing for demand i of ``demands()``.
+demands as integer bitmasks.  Bit i is the i-th demand of one walk over
+``graph._demand_buckets``, which is ``demands()`` order; the search's
+branch order depends on that numbering.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import combinations
 
 from .degree import d_approx_s_solve
@@ -18,8 +21,7 @@ from .graph import (
     TemporalGraph,
     VertexAppearance,
     _check_delta,
-    _window_starts,
-    demands,
+    _demand_buckets,
 )
 
 # Node budget of ``exact_solve`` when the caller gives none.
@@ -35,26 +37,30 @@ _BRUTE_FORCE_CANDIDATES = 24
 
 
 def _coverage(g: TemporalGraph, delta: int):
-    """Demands, the sorted candidates (v, t) where v is an endpoint of an
-    edge active at t, and per candidate the bitmask of demands it covers.
+    """The sorted candidates (v, t) where v is an endpoint of an edge active
+    at t, per candidate the bitmask of demands it covers, and per demand
+    its covering candidates in candidate order.
 
-    Bit i of a mask is demand i in ``demands()`` order; the search's branch
+    Demand i is the i-th (start, edge) of one walk over
+    ``_demand_buckets``, which is ``demands()`` order; the search's branch
     order, and with it which optimum comes back, depends on that numbering.
+    An edge u < v active inside the window is covered by u at each of
+    those appearances, then by v at each, which is candidate order.
     """
-    ds = demands(g, delta)
-    index = {d: i for i, d in enumerate(ds)}
-    hits = {}
-    for t in range(1, g.T + 1):
-        starts = _window_starts(t, g.T, delta)
-        for eid in g.time_index[t]:
-            e = g.edges[eid]
-            mask = 0
-            for w in starts:
-                mask |= 1 << index[(eid, w)]
-            for c in ((e.u, t), (e.v, t)):
-                hits[c] = hits.get(c, 0) | mask
-    cands = sorted(hits)
-    return ds, cands, [hits[c] for c in cands]
+    cands = sorted({(x, a) for u, v, apps in g.edges for x in (u, v) for a in apps})
+    index = {c: ci for ci, c in enumerate(cands)}
+    masks = [0] * len(cands)
+    by_demand = []
+    for w, bucket in enumerate(_demand_buckets(g, delta)):
+        for eid in bucket:
+            u, v, apps = g.edges[eid]
+            span = apps[bisect_left(apps, w):bisect_left(apps, w + delta)]
+            cis = [index[(x, a)] for x in (u, v) for a in span]
+            bit = 1 << len(by_demand)
+            for ci in cis:
+                masks[ci] |= bit
+            by_demand.append(cis)
+    return cands, masks, by_demand
 
 
 def exact_solve(g: TemporalGraph, delta: int, budget: int = DEFAULT_BUDGET) -> Cover:
@@ -82,17 +88,10 @@ def exact_solve(g: TemporalGraph, delta: int, budget: int = DEFAULT_BUDGET) -> C
     _check_delta(g.T, delta)
     if budget < 1:
         raise BadConfigError(f"node budget must be at least 1, got {budget}")
-    ds, cands, masks = _coverage(g, delta)
-    if not ds:
+    cands, masks, by_demand = _coverage(g, delta)
+    if not by_demand:
         return set()
 
-    # candidates covering each demand, in candidate order
-    by_demand = [[] for _ in ds]
-    for ci, mask in enumerate(masks):
-        while mask:
-            low = mask & -mask
-            by_demand[low.bit_length() - 1].append(ci)
-            mask ^= low
     # one mask per fan-out value, least first: the first level an open set
     # meets holds the fail-first targets, its lowest bit the one taken
     by_fanout = {}
@@ -110,13 +109,13 @@ def exact_solve(g: TemporalGraph, delta: int, budget: int = DEFAULT_BUDGET) -> C
     # (open demands, slack) -> node count of a finished subtree that left
     # the incumbent alone; it stops growing once full
     done = {}
-    room = _REPLAY_TABLE_BYTES // (len(ds) // 8 + _REPLAY_ENTRY_BYTES)
+    room = _REPLAY_TABLE_BYTES // (len(by_demand) // 8 + _REPLAY_ENTRY_BYTES)
     # an entry is (picks, chosen path as nested (candidate, parent) pairs,
     # open demands); the path shares its prefix with its siblings'.  Under
     # a branching node's children lies its exit marker (None, key, nodes
     # and incumbent size before the node).
     nodes = 0
-    stack = [(0, None, (1 << len(ds)) - 1)]
+    stack = [(0, None, (1 << len(by_demand)) - 1)]
     while stack:
         item = stack.pop()
         if item[0] is None:
@@ -165,14 +164,14 @@ def brute_force_solve(g: TemporalGraph, delta: int) -> Cover:
     appearances.
     """
     _check_delta(g.T, delta)
-    ds, cands, masks = _coverage(g, delta)
-    if not ds:
+    cands, masks, by_demand = _coverage(g, delta)
+    if not by_demand:
         return set()
     if len(cands) > _BRUTE_FORCE_CANDIDATES:
         raise TooLargeError(
             f"{len(cands)} candidate appearances exceed limit {_BRUTE_FORCE_CANDIDATES}"
         )
-    full = (1 << len(ds)) - 1
+    full = (1 << len(by_demand)) - 1
     for size in range(len(cands) + 1):
         for combo in combinations(range(len(cands)), size):
             acc = 0

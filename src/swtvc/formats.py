@@ -4,7 +4,9 @@ conversion of raw timestamped contact lists (SNAP style).
 Native format, line oriented text:
     n m T
     u v k t1 t2 ... tk      (one line per edge, u < v, k >= 1, labels increasing)
-Lines starting with '#' are comments; blank lines are ignored.
+Each (u, v) pair is on one line only: a repeated pair is a ParseError at
+its second line.  Lines starting with '#' are comments; blank lines are
+ignored.
 
 Cover files hold one ``v t`` pair per line.
 """
@@ -90,7 +92,15 @@ def parse_native(path) -> TemporalGraph:
             raise ParseError(lineno, f"labels not strictly increasing: {labels}")
         edge_list.append((u, v, labels))
 
-    return build_graph(n, T, edge_list)
+    g = build_graph(n, T, edge_list)
+    if g.m != m:
+        # build_graph merged a repeated pair; find the line that repeats it
+        seen = set()
+        for (lineno, _), (u, v, _) in zip(rows[1:], edge_list):
+            if (u, v) in seen:
+                raise ParseError(lineno, f"repeated edge ({u}, {v})")
+            seen.add((u, v))
+    return g
 
 
 def convert_snap(path, bucket_seconds: int = 3600, keep_gaps: bool = True) -> TemporalGraph:

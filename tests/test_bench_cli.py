@@ -211,6 +211,8 @@ class TestCli:
         for argv in (["solve", "--algo", "star-sc", "--delta", "0", "--input", str(tg)],
                      ["solve", "--algo", "exact", "--delta", "3", "--budget", "-5",
                       "--input", str(tg)],
+                     ["solve", "--algo", "star-sc", "--delta", "3", "--budget", "5",
+                      "--input", str(tg)],
                      ["generate", "--n", "1", "--output", str(tmp_path / "g.tg")],
                      ["bench", "--inputs", str(tg), "--algos", "d-approx", "--delta",
                       "3", "--reps", "0", "--output", str(tmp_path / "b.csv")],

@@ -220,7 +220,12 @@ class TestExactDifferential:
         for delta in range(1, max(g.T, 1) + 1):
             ds, cands, covered = reference_coverage(g, delta)
             masks = [sum(1 << di for di in hit) for hit in covered]
-            assert _coverage(g, delta) == (ds, cands, masks)
+            got_cands, got_masks, by_demand = _coverage(g, delta)
+            assert (got_cands, got_masks) == (cands, masks)
+            assert len(by_demand) == len(ds)
+            # each demand's candidates are the set bits, in candidate order
+            assert by_demand == [[ci for ci, mask in enumerate(masks) if mask >> di & 1]
+                                 for di in range(len(ds))]
             for budget in self.BUDGETS:
                 try:
                     expected = recursive_exact(g, delta, budget)

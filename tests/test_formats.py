@@ -10,6 +10,7 @@ from swtvc import (
     ParseError,
     TooLargeError,
     TvcError,
+    build_graph,
     convert_snap,
     parse_cover,
     parse_native,
@@ -62,6 +63,17 @@ class TestNativeFormat:
         path.write_text("2 2 3\n0 1 1 1\n")
         with pytest.raises(ParseError):
             parse_native(path)
+
+    def test_repeated_pair_rejected_at_its_line(self, tmp_path):
+        path = tmp_path / "dup.tg"
+        path.write_text("3 2 4\n0 1 1 1\n0 1 1 3\n")
+        with pytest.raises(ParseError, match=r"^line 3: repeated edge \(0, 1\)"):
+            parse_native(path)
+        path.write_text("# c\n3 4 4\n0 1 1 1\n1 2 1 2\n# x\n0 1 1 3\n1 2 1 4\n")
+        with pytest.raises(ParseError, match=r"^line 6: "):
+            parse_native(path)
+        # library callers still get the pair merged
+        assert build_graph(3, 4, [(0, 1, [1]), (0, 1, [3])]).edges[0].appearances == (1, 3)
 
     def test_label_count_mismatch(self, tmp_path):
         path = tmp_path / "bad.tg"
