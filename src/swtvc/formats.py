@@ -4,9 +4,20 @@ conversion of raw timestamped contact lists (SNAP style).
 Native format, line oriented text:
     n m T
     u v k t1 t2 ... tk      (one line per edge, u < v, k >= 1, labels increasing)
-Each (u, v) pair is on one line only: a repeated pair is a ParseError at
-its second line.  Lines starting with '#' are comments; blank lines are
-ignored.
+Each (u, v) pair is on one line only.  Lines starting with '#' are
+comments; blank lines are ignored.  Lines end at ``\n``, ``\r\n`` or
+``\r`` only, the breaks the csv module counts, so a form feed or another
+Unicode separator inside a line is whitespace, not a line break.
+
+Each rule has one owner.  The parsers check the file syntax line by line:
+field counts, integers, ``u < v``, increasing labels and, in a native
+file, a pair repeated at a later line; each is a ParseError naming its
+line.  ``build_graph`` checks the graph: the size limit, self-loops and
+vertex and label ranges (TooLargeError, SelfLoopError,
+OutOfRangeVertexError, OutOfRangeLabelError).  It alone merges repeated
+pairs and dedups and sorts labels, so ``convert_snap`` hands it raw label
+lists.  Syntax is checked before the graph, so a native file reports its
+first syntax error before any range error, wherever the two lie.
 
 Cover files hold one ``v t`` pair per line.
 """
@@ -25,6 +36,13 @@ from .errors import (
 from .graph import Cover, TemporalGraph, VertexAppearance, build_graph
 
 
+def _split_lines(text: str) -> list:
+    r"""``text`` split at ``\n``, ``\r\n`` and ``\r`` only, the line breaks
+    the csv module counts; ``str.splitlines`` would also break at ``\v``,
+    ``\f``, ``\x1c``-``\x1e``, ``\x85``, ``\u2028`` and ``\u2029``."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def _read_text(path) -> str:
     """The text of ``path``; input that is not UTF-8 raises ``ParseError``
     at the 1-based line of its first bad byte."""
@@ -32,15 +50,14 @@ def _read_text(path) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # the "x" makes a prefix ending in a line break count the next line
-        before = data[:exc.start].decode("utf-8") + "x"
-        raise ParseError(len(before.splitlines()), "input is not UTF-8 text") from None
+        before = data[:exc.start].decode("utf-8")
+        raise ParseError(len(_split_lines(before)), "input is not UTF-8 text") from None
 
 
 def _content_lines(path):
     """``(line number, stripped line)`` of each line of ``path`` that is
     neither blank nor a ``#`` comment; numbers are 1-based."""
-    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
+    for lineno, raw in enumerate(_split_lines(_read_text(path)), start=1):
         line = raw.strip()
         if line and not line.startswith("#"):
             yield lineno, line
@@ -71,7 +88,7 @@ def parse_native(path) -> TemporalGraph:
     if len(rows) - 1 != m:
         raise ParseError(lineno, f"expected {m} edge lines, found {len(rows) - 1}")
 
-    edge_list = []
+    edge_list, seen = [], set()
     for lineno, line in rows[1:]:
         fields = line.split()
         try:
@@ -84,23 +101,15 @@ def parse_native(path) -> TemporalGraph:
         labels = nums[3:]
         if len(labels) != k:
             raise ParseError(lineno, f"declared {k} labels, found {len(labels)}")
-        if k < 1:
-            raise ParseError(lineno, "edge must have at least one label")
         if u >= v:
             raise ParseError(lineno, f"endpoints must satisfy u < v, got {u} {v}")
         if any(b <= a for a, b in zip(labels, labels[1:])):
             raise ParseError(lineno, f"labels not strictly increasing: {labels}")
+        if (u, v) in seen:
+            raise ParseError(lineno, f"repeated edge ({u}, {v})")
+        seen.add((u, v))
         edge_list.append((u, v, labels))
-
-    g = build_graph(n, T, edge_list)
-    if g.m != m:
-        # build_graph merged a repeated pair; find the line that repeats it
-        seen = set()
-        for (lineno, _), (u, v, _) in zip(rows[1:], edge_list):
-            if (u, v) in seen:
-                raise ParseError(lineno, f"repeated edge ({u}, {v})")
-            seen.add((u, v))
-    return g
+    return build_graph(n, T, edge_list)
 
 
 def convert_snap(path, bucket_seconds: int = 3600, keep_gaps: bool = True) -> TemporalGraph:
@@ -143,15 +152,15 @@ def convert_snap(path, bucket_seconds: int = 3600, keep_gaps: bool = True) -> Te
     for a, b, ts in contacts:
         key = (a, b) if a < b else (b, a)
         t = (ts - min_ts) // bucket_seconds + 1
-        labels.setdefault(key, set()).add(t)
+        labels.setdefault(key, []).append(t)
 
     if not keep_gaps:
         used = sorted({t for ts in labels.values() for t in ts})
         remap = {t: i + 1 for i, t in enumerate(used)}
-        labels = {key: {remap[t] for t in ts} for key, ts in labels.items()}
+        labels = {key: [remap[t] for t in ts] for key, ts in labels.items()}
 
     T = max(t for ts in labels.values() for t in ts)
-    edge_list = [(u, v, sorted(ts)) for (u, v), ts in sorted(labels.items())]
+    edge_list = [(u, v, ts) for (u, v), ts in sorted(labels.items())]
     return build_graph(len(ids), T, edge_list)
 
 

@@ -140,7 +140,7 @@ def worst_case_acov_instance(delta: int, reps: int, leaves: int = None) -> Tempo
             start = r * delta
             ts.append(start + 1)  # all edges in the period's first snapshot
             ts.append(start + 2 + group_of[i])
-        edge_list.append((0, i + 1, sorted(ts)))
+        edge_list.append((0, i + 1, ts))
     return build_graph(leaves + 1, T, edge_list)
 
 

@@ -87,33 +87,32 @@ def build_graph(n: int, T: int, edge_list: Iterable) -> TemporalGraph:
     """Construct a TemporalGraph from ``(u, v, appearance_list)`` triples.
 
     Endpoints are canonicalized to u < v and duplicate (u, v) entries are
-    merged into one edge with the union of their labels.  Edge ids follow
-    first-appearance order of the canonical pair in the input.  Raises
+    merged into one edge with the union of their labels; labels may come
+    in any order and repeat, and are stored deduplicated and sorted.  Edge
+    ids follow first-appearance order of the canonical pair in the input.
+    ``appearance_list`` may be any iterable, read once.  Raises
     TooLargeError, before allocating anything, when ``n`` or ``T`` exceeds
     ``MAX_SIZE``.
     """
     if n < 0 or T < 0:
         raise OutOfRangeLabelError(f"n and T must be nonnegative, got n={n} T={T}")
     _check_size(n, T)
-    merged: dict = {}
-    order: list = []
+    merged: dict = {}  # canonical pair -> label set; insertion order is edge id order
     for u, v, labels in edge_list:
         if u == v:
             raise SelfLoopError(f"self-loop on vertex {u}")
         if not (0 <= u < n and 0 <= v < n):
             raise OutOfRangeVertexError(f"endpoint out of range in ({u}, {v})")
         key = (u, v) if u < v else (v, u)
-        if key not in merged:
-            merged[key] = set()
-            order.append(key)
+        ts = merged.setdefault(key, set())
         for t in labels:
             if not (1 <= t <= T):
                 raise OutOfRangeLabelError(f"label {t} outside [1, {T}] on edge {key}")
-            merged[key].add(t)
+            ts.add(t)
 
     edges = []
-    for key in order:
-        labels = tuple(sorted(merged[key]))
+    for key, ts in merged.items():
+        labels = tuple(sorted(ts))
         if not labels:
             raise OutOfRangeLabelError(f"edge {key} has no appearances")
         edges.append(UnderlyingEdge(key[0], key[1], labels))

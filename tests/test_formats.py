@@ -7,6 +7,7 @@ from swtvc import (
     DuplicateAppearanceError,
     EmptyInputError,
     NegativeTimestampError,
+    OutOfRangeLabelError,
     ParseError,
     TooLargeError,
     TvcError,
@@ -74,6 +75,21 @@ class TestNativeFormat:
             parse_native(path)
         # library callers still get the pair merged
         assert build_graph(3, 4, [(0, 1, [1]), (0, 1, [3])]).edges[0].appearances == (1, 3)
+
+    def test_syntax_errors_come_before_range_errors(self, tmp_path):
+        path = tmp_path / "dup.tg"
+        # vertex 9 is out of range on line 4, but line 3 repeats a pair
+        path.write_text("3 3 4\n0 1 1 1\n0 1 1 3\n1 9 1 1\n")
+        with pytest.raises(ParseError, match=r"^line 3: repeated edge \(0, 1\)$"):
+            parse_native(path)
+        # the pair's first line carries a label past T
+        path.write_text("3 2 4\n0 1 1 9\n0 1 1 3\n")
+        with pytest.raises(ParseError, match=r"^line 3: repeated edge \(0, 1\)$"):
+            parse_native(path)
+        # with no syntax error, the range error is raised
+        path.write_text("3 2 4\n0 1 1 9\n1 2 1 3\n")
+        with pytest.raises(OutOfRangeLabelError, match=r"^label 9 outside \[1, 4\]"):
+            parse_native(path)
 
     def test_label_count_mismatch(self, tmp_path):
         path = tmp_path / "bad.tg"
@@ -225,9 +241,42 @@ class TestParseErrorLines:
         path.write_bytes(b"\xff\n")
         assert self.line_of(parse, path) == 1
         path.write_bytes(b"# \xc3\xa9 is UTF-8\r\n\n0 1\x0c1 2 \xe9\n")
-        assert self.line_of(parse, path) == 4
+        assert self.line_of(parse, path) == 3  # a form feed does not end a line
         path.write_bytes(b"0 1\n\xc3")  # truncated two-byte sequence
         assert self.line_of(parse, path) == 2
+
+
+# str.splitlines breaks lines at these; the parsers and the csv module do not
+_NOT_LINE_BREAKS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+class TestLineBreaks:
+    @pytest.mark.parametrize("sep", _NOT_LINE_BREAKS)
+    def test_separator_inside_comment(self, tmp_path, sep):
+        path = tmp_path / "in.txt"
+        path.write_text(f"# exported{sep}v2\n2 1 3\n# edge{sep}list\n0 1 2 1 3\n",
+                        encoding="utf-8")
+        assert parse_native(path) == build_graph(2, 3, [(0, 1, [1, 3])])
+        path.write_text(f"# cover{sep}v2\n0 1\n", encoding="utf-8")
+        assert parse_cover(path) == {(0, 1)}
+        path.write_text(f"# contacts{sep}v2\na b 0\n", encoding="utf-8")
+        assert convert_snap(path) == build_graph(2, 1, [(0, 1, [1])])
+
+    @pytest.mark.parametrize("sep", _NOT_LINE_BREAKS)
+    def test_separator_is_whitespace_inside_a_line(self, tmp_path, sep):
+        path = tmp_path / "in.txt"
+        path.write_text(f"2 1 3\n0{sep}1 2 1{sep}3\n", encoding="utf-8")
+        assert parse_native(path).edges[0].appearances == (1, 3)
+
+    @pytest.mark.parametrize("parse", [parse_native, convert_snap, parse_cover])
+    def test_bad_byte_line_after_separator(self, tmp_path, parse):
+        path = tmp_path / "bad"
+        path.write_bytes(b"2 1 3\n#a\x0cb\n\xff\n")
+        with pytest.raises(ParseError, match=r"^line 3: input is not UTF-8 text$"):
+            parse(path)
+        path.write_bytes(b"#a\xe2\x80\xa8b\r\r\n\xff")  # U+2028, then \r and \r\n
+        with pytest.raises(ParseError, match=r"^line 3: "):
+            parse(path)
 
 
 def test_generator_emits_via_native_writer(tmp_path):

@@ -12,6 +12,7 @@ from swtvc import (
     OutOfRangeVertexError,
     SelfLoopError,
     TooLargeError,
+    TvcError,
     build_graph,
     demands,
     edges_at,
@@ -20,7 +21,7 @@ from swtvc import (
     validate_cover,
 )
 
-from swtvc.graph import MAX_SIZE
+from swtvc.graph import MAX_SIZE, TemporalGraph, UnderlyingEdge, _check_size
 
 from conftest import random_general_graph, random_star_graph
 
@@ -75,6 +76,107 @@ class TestBuildGraph:
                 assert (eid in g.time_index[t]) == (t in e.appearances)
             for v in range(g.n):
                 assert (eid in g.adjacency[v]) == (v in (e.u, e.v))
+
+
+def build_graph_reference(n, T, edge_list):
+    """``build_graph`` with a key-order list beside its label dict, kept
+    frozen as the oracle of ``TestBuildGraphDifferential``."""
+    if n < 0 or T < 0:
+        raise OutOfRangeLabelError(f"n and T must be nonnegative, got n={n} T={T}")
+    _check_size(n, T)
+    merged: dict = {}
+    order: list = []
+    for u, v, labels in edge_list:
+        if u == v:
+            raise SelfLoopError(f"self-loop on vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise OutOfRangeVertexError(f"endpoint out of range in ({u}, {v})")
+        key = (u, v) if u < v else (v, u)
+        if key not in merged:
+            merged[key] = set()
+            order.append(key)
+        for t in labels:
+            if not (1 <= t <= T):
+                raise OutOfRangeLabelError(f"label {t} outside [1, {T}] on edge {key}")
+            merged[key].add(t)
+
+    edges = []
+    for key in order:
+        labels = tuple(sorted(merged[key]))
+        if not labels:
+            raise OutOfRangeLabelError(f"edge {key} has no appearances")
+        edges.append(UnderlyingEdge(key[0], key[1], labels))
+
+    time_index = [[] for _ in range(T + 1)]
+    adjacency = [[] for _ in range(n)]
+    for eid, edge in enumerate(edges):
+        for t in edge.appearances:
+            time_index[t].append(eid)
+        adjacency[edge.u].append(eid)
+        adjacency[edge.v].append(eid)
+
+    return TemporalGraph(
+        n=n,
+        T=T,
+        edges=tuple(edges),
+        time_index=tuple(tuple(ids) for ids in time_index),
+        adjacency=tuple(tuple(ids) for ids in adjacency),
+    )
+
+
+def random_triples(rng, n, T):
+    """``(u, v, labels, kind)`` recipes: swapped endpoints, repeated pairs,
+    unsorted and repeated labels, empty label lists, and now and then a
+    self-loop or an out-of-range vertex or label.  ``kind`` says whether
+    the labels are passed as a list, a tuple or a generator."""
+    recipes = []
+    for _ in range(rng.randint(0, 10)):
+        if recipes and rng.random() < 0.3:
+            u, v = rng.choice(recipes)[:2]
+        elif n >= 2 and rng.random() < 0.97:
+            u, v = rng.sample(range(n), 2)
+        else:
+            u = v = rng.randrange(max(n, 1))
+        if rng.random() < 0.5:
+            u, v = v, u
+        if rng.random() < 0.03:
+            u = rng.choice([-1, n])
+        labels = [rng.randint(1, T) if T > 0 and rng.random() < 0.97
+                  else rng.choice([-1, 0, T + 1]) for _ in range(rng.randint(0, 5))]
+        recipes.append((u, v, labels, rng.choice(["list", "tuple", "generator"])))
+    return recipes
+
+
+def materialize(recipes):
+    """A fresh edge list for ``recipes``; a generator is read only once."""
+    wrap = {"list": list, "tuple": tuple, "generator": lambda ls: (t for t in ls)}
+    return [(u, v, wrap[kind](labels)) for u, v, labels, kind in recipes]
+
+
+def build_outcome(build, n, T, recipes):
+    try:
+        return build(n, T, materialize(recipes))
+    except TvcError as exc:
+        return (type(exc), str(exc))
+
+
+class TestBuildGraphDifferential:
+    """``build_graph`` against its frozen reference: an equal graph, or the
+    same exception type and message."""
+
+    def test_random_triples(self):
+        rng = random.Random(20261019)
+        outcomes = set()
+        for _ in range(4000):
+            n = -1 if rng.random() < 0.02 else rng.randint(0, 6)
+            T = -1 if rng.random() < 0.02 else rng.choice([0, 1, 2, 3, 5, 8, 40])
+            recipes = random_triples(rng, n, T)
+            got = build_outcome(build_graph, n, T, recipes)
+            assert got == build_outcome(build_graph_reference, n, T, recipes)
+            outcomes.add(got[0] if isinstance(got, tuple) else "graph")
+        # the corpus reaches every outcome
+        assert outcomes == {"graph", SelfLoopError, OutOfRangeVertexError,
+                            OutOfRangeLabelError}
 
 
 class TestEdgesAt:
