@@ -95,13 +95,13 @@ def run_benchmark(
     algorithms on a non-star input) is recorded as skipped, any other
     TvcError as ``error:<Name>``, and the batch goes on.  The caller writes
     the records out, e.g. with ``write_csv``.  Raises BadConfigError when
-    ``repetitions`` is below 1.
+    ``repetitions`` is below 1 or an algorithm is not in ``ALGORITHMS``.
     """
     if repetitions < 1:
         raise BadConfigError(f"repetitions must be >= 1, got {repetitions}")
     unknown = [a for a in algorithms if a not in ALGORITHMS]
     if unknown:
-        raise KeyError(f"unknown algorithms: {unknown}")
+        raise BadConfigError(f"unknown algorithms: {unknown}")
 
     records = []
     for name, g in instances:

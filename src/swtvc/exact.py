@@ -4,9 +4,10 @@
 enumerates candidate subsets by increasing size and cross-checks the
 oracle.  Candidate appearances are restricted to (v, t) where v has an
 active edge at t; anything else covers nothing.  Both keep sets of
-demands as integer bitmasks.  Bit i is the i-th demand of one walk over
-``graph._demand_buckets``, which is ``demands()`` order; the search's
-branch order depends on that numbering.
+demands as integer bitmasks, numbered fail-first: by how many candidates
+cover a demand, fewest first, ties in ``demands()`` order.  So the
+demand ``exact_solve`` branches on, the open one with the fewest covering
+candidates, is the lowest open bit.
 """
 
 from __future__ import annotations
@@ -41,33 +42,35 @@ def _coverage(g: TemporalGraph, delta: int):
     at t, per candidate the bitmask of demands it covers, and per demand
     its covering candidates in candidate order.
 
-    Demand i is the i-th (start, edge) of one walk over
-    ``_demand_buckets``, which is ``demands()`` order; the search's branch
-    order, and with it which optimum comes back, depends on that numbering.
-    An edge u < v active inside the window is covered by u at each of
-    those appearances, then by v at each, which is candidate order.
+    Demands are numbered fail-first: a stable sort of the (start, edge)
+    walk over ``_demand_buckets``, which is ``demands()`` order, by the
+    number of covering candidates.  The search's branch order, and with it
+    which optimum comes back, depends on that numbering.  An edge u < v
+    active inside the window is covered by u at each of those appearances,
+    then by v at each, which is candidate order.
     """
     cands = sorted({(x, a) for u, v, apps in g.edges for x in (u, v) for a in apps})
     index = {c: ci for ci, c in enumerate(cands)}
-    masks = [0] * len(cands)
     by_demand = []
     for w, bucket in enumerate(_demand_buckets(g, delta)):
         for eid in bucket:
             u, v, apps = g.edges[eid]
             span = apps[bisect_left(apps, w):bisect_left(apps, w + delta)]
-            cis = [index[(x, a)] for x in (u, v) for a in span]
-            bit = 1 << len(by_demand)
-            for ci in cis:
-                masks[ci] |= bit
-            by_demand.append(cis)
+            by_demand.append([index[(x, a)] for x in (u, v) for a in span])
+    by_demand.sort(key=len)
+    masks = [0] * len(cands)
+    for di, cis in enumerate(by_demand):
+        for ci in cis:
+            masks[ci] |= 1 << di
     return cands, masks, by_demand
 
 
 def exact_solve(g: TemporalGraph, delta: int, budget: int = DEFAULT_BUDGET) -> Cover:
     """Minimum-cardinality valid cover via branch and bound.
 
-    Branches over the candidates covering the open demand with the fewest
-    covering candidates (fail-first, ties to the lowest demand id); prunes
+    Branches over the candidates covering the lowest open demand bit,
+    which by ``_coverage``'s fail-first numbering is the open demand with
+    the fewest covering candidates, ties in ``demands()`` order; prunes
     with a packing bound.  The search runs on an explicit stack in
     depth-first preorder, so its depth is not tied to the interpreter's
     recursion limit.
@@ -92,12 +95,6 @@ def exact_solve(g: TemporalGraph, delta: int, budget: int = DEFAULT_BUDGET) -> C
     if not by_demand:
         return set()
 
-    # one mask per fan-out value, least first: the first level an open set
-    # meets holds the fail-first targets, its lowest bit the one taken
-    by_fanout = {}
-    for di, cis in enumerate(by_demand):
-        by_fanout[len(cis)] = by_fanout.get(len(cis), 0) | 1 << di
-    levels = [by_fanout[f] for f in sorted(by_fanout)]
     # complements, so a child's open set is one AND
     keep = [~mask for mask in masks]
 
@@ -140,13 +137,9 @@ def exact_solve(g: TemporalGraph, delta: int, budget: int = DEFAULT_BUDGET) -> C
                     raise BudgetExceededError(f"node budget {budget} exhausted")
                 continue
             stack.append((None, key, nodes - 1, size))
-            for level in levels:
-                target = remaining & level
-                if target:
-                    break
             depth += 1
             # pushed in reverse so they pop in candidate order
-            for ci in reversed(by_demand[(target & -target).bit_length() - 1]):
+            for ci in reversed(by_demand[(remaining & -remaining).bit_length() - 1]):
                 stack.append((depth, (ci, chosen), remaining & keep[ci]))
     if path is None:
         return best

@@ -132,9 +132,14 @@ def convert_snap(path, bucket_seconds: int = 3600, keep_gaps: bool = True) -> Te
             raise ParseError(lineno, f"need 'src dst timestamp', got {line!r}")
         src, dst = fields[0], fields[1]
         try:
-            ts = int(float(fields[2]))
-        except (ValueError, OverflowError):  # not a number, nan, inf
-            raise ParseError(lineno, f"bad timestamp {fields[2]!r}")
+            ts = int(fields[2])
+        except ValueError:
+            # a form like 1e3 or 3600.5; only it goes through a float, which
+            # rounds integers past 2**53
+            try:
+                ts = int(float(fields[2]))
+            except (ValueError, OverflowError):  # not a number, nan, inf
+                raise ParseError(lineno, f"bad timestamp {fields[2]!r}") from None
         if ts < 0:
             raise NegativeTimestampError(f"line {lineno}: timestamp {ts} < 0")
         if src == dst:

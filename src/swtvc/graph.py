@@ -92,38 +92,53 @@ def build_graph(n: int, T: int, edge_list: Iterable) -> TemporalGraph:
     ids follow first-appearance order of the canonical pair in the input.
     ``appearance_list`` may be any iterable, read once.  Raises
     TooLargeError, before allocating anything, when ``n`` or ``T`` exceeds
-    ``MAX_SIZE``.
+    ``MAX_SIZE``.  A vertex or label that is not an integer is an
+    OutOfRangeVertexError or OutOfRangeLabelError naming it.
     """
     if n < 0 or T < 0:
         raise OutOfRangeLabelError(f"n and T must be nonnegative, got n={n} T={T}")
     _check_size(n, T)
+    # A value that is not an integer fails as a TypeError where it is
+    # compared (a string, say) or used as an index (a float); each such
+    # TypeError becomes the range error, so valid input pays no extra check.
     merged: dict = {}  # canonical pair -> label set; insertion order is edge id order
     for u, v, labels in edge_list:
         if u == v:
             raise SelfLoopError(f"self-loop on vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise OutOfRangeVertexError(f"endpoint out of range in ({u}, {v})")
+        try:
+            if not (0 <= u < n and 0 <= v < n):
+                raise OutOfRangeVertexError(f"endpoint out of range in ({u}, {v})")
+        except TypeError:
+            raise OutOfRangeVertexError(f"endpoint not an integer in ({u!r}, {v!r})") from None
         key = (u, v) if u < v else (v, u)
         ts = merged.setdefault(key, set())
-        for t in labels:
-            if not (1 <= t <= T):
-                raise OutOfRangeLabelError(f"label {t} outside [1, {T}] on edge {key}")
-            ts.add(t)
+        labels = iter(labels)  # so only a label's own TypeError is caught
+        try:
+            for t in labels:
+                if not (1 <= t <= T):
+                    raise OutOfRangeLabelError(f"label {t} outside [1, {T}] on edge {key}")
+                ts.add(t)
+        except TypeError:
+            raise OutOfRangeLabelError(f"label {t!r} on edge {key} is not an integer") from None
 
     edges = []
-    for key, ts in merged.items():
-        labels = tuple(sorted(ts))
-        if not labels:
-            raise OutOfRangeLabelError(f"edge {key} has no appearances")
-        edges.append(UnderlyingEdge(key[0], key[1], labels))
-
     time_index = [[] for _ in range(T + 1)]
     adjacency = [[] for _ in range(n)]
-    for eid, edge in enumerate(edges):
-        for t in edge.appearances:
-            time_index[t].append(eid)
-        adjacency[edge.u].append(eid)
-        adjacency[edge.v].append(eid)
+    try:
+        for eid, (key, ts) in enumerate(merged.items()):
+            if not ts:
+                raise OutOfRangeLabelError(f"edge {key} has no appearances")
+            labels = tuple(sorted(ts))
+            edges.append(UnderlyingEdge(key[0], key[1], labels))
+            for t in labels:
+                time_index[t].append(eid)
+            adjacency[key[0]].append(eid)
+            adjacency[key[1]].append(eid)
+    except TypeError:
+        # t is the label that failed, or the edge's last one if an endpoint did
+        if not hasattr(t, "__index__"):
+            raise OutOfRangeLabelError(f"label {t!r} on edge {key} is not an integer") from None
+        raise OutOfRangeVertexError(f"endpoint not an integer in {key!r}") from None
 
     return TemporalGraph(
         n=n,

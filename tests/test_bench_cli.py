@@ -93,6 +93,10 @@ class TestRunBenchmark:
                                     repetitions=1)
             assert [r.status for r in records] == ["error:BadDeltaError"] * 4
 
+    def test_unknown_algorithm(self, example_graph):
+        with pytest.raises(BadConfigError, match="no-such-algo"):
+            run_benchmark([("ex", example_graph)], ["d-approx", "no-such-algo"], 2)
+
     def test_bad_repetitions(self, example_graph):
         for reps in (0, -1):
             with pytest.raises(BadConfigError, match="repetitions"):

@@ -1,6 +1,7 @@
 import random
 import sys
 import tracemalloc
+from collections import Counter
 from math import ceil
 
 import pytest
@@ -219,7 +220,11 @@ class TestExactDifferential:
         outcomes = set()
         for delta in range(1, max(g.T, 1) + 1):
             ds, cands, covered = reference_coverage(g, delta)
-            masks = [sum(1 << di for di in hit) for hit in covered]
+            # demands renumbered fail-first: a stable sort on fan-out
+            fanout = Counter(di for hit in covered for di in hit)
+            order = sorted(range(len(ds)), key=lambda di: fanout[di])
+            rank = {di: r for r, di in enumerate(order)}
+            masks = [sum(1 << rank[di] for di in hit) for hit in covered]
             got_cands, got_masks, by_demand = _coverage(g, delta)
             assert (got_cands, got_masks) == (cands, masks)
             assert len(by_demand) == len(ds)

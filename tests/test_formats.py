@@ -158,6 +158,21 @@ class TestConvertSnap:
             convert_snap(path)
         assert exc.value.line == 2
 
+    def test_large_integer_timestamps_keep_their_low_bits(self, tmp_path):
+        # one second apart, above 2**53, where a float rounds both alike
+        path = tmp_path / "raw.txt"
+        path.write_text("a b 9007199254740993\na c 9007199254740992\n")
+        g = convert_snap(path, bucket_seconds=1)
+        assert g.T == 2
+        assert [e.appearances for e in g.edges] == [(2,), (1,)]
+
+    @pytest.mark.parametrize("ts, step", [("1e3", 1), ("3600.5", 2), ("7200", 3)])
+    def test_decimal_timestamps_truncated(self, tmp_path, ts, step):
+        path = tmp_path / "raw.txt"
+        path.write_text(f"1 2 0\n1 3 {ts}\n")
+        g = convert_snap(path, bucket_seconds=3600)
+        assert g.edges[1].appearances == (step,)
+
     def test_extra_columns_ignored(self, tmp_path):
         path = tmp_path / "raw.txt"
         path.write_text("a b 0 weight=3\nb c 3600 x y z\n")

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -53,6 +54,20 @@ class TestBuildGraph:
     def test_out_of_range_label(self):
         with pytest.raises(OutOfRangeLabelError):
             build_graph(2, 3, [(0, 1, [4])])
+
+    @pytest.mark.parametrize("edge, error, value", [
+        ((0, 1, [1.5]), OutOfRangeLabelError, "1.5"),
+        ((0, 1, [1, 2.0]), OutOfRangeLabelError, "2.0"),
+        ((0, 1, ["a"]), OutOfRangeLabelError, "'a'"),
+        ((0, 1, (t for t in [1, None])), OutOfRangeLabelError, "None"),
+        ((0.0, 1, [1]), OutOfRangeVertexError, "0.0"),
+        ((0, 1.0, [1]), OutOfRangeVertexError, "1.0"),
+        (("a", 1, [1]), OutOfRangeVertexError, "'a'"),
+    ])
+    def test_non_integer_is_a_range_error_naming_it(self, edge, error, value):
+        value = re.escape(value)
+        with pytest.raises(error, match=f"{value}.*not an integer|not an integer.*{value}"):
+            build_graph(3, 3, [(1, 2, [1]), edge])
 
     def test_size_limit(self):
         with pytest.raises(TooLargeError):
