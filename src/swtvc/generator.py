@@ -43,7 +43,8 @@ class GeneratorConfig:
     def validate(self):
         if self.n < 1 or self.T < 0 or self.d < 0 or self.seed < 0:
             raise BadConfigError(f"negative or empty dimension in {self}")
-        # each step scans all n vertices, long before build_graph would refuse
+        # each step copies an n-long candidate list, long before build_graph
+        # would refuse
         _check_size(self.n, self.T)
         if self.d > 0 and self.n < 2:
             raise BadConfigError("need n >= 2 to place any edge")
@@ -61,6 +62,7 @@ def generate_always_star(cfg: GeneratorConfig) -> TemporalGraph:
     labels = {}  # (u, v) -> list of time steps
     center = 0 if cfg.underlying_star else rng.randrange(cfg.n)
     leaves = []
+    everyone = list(range(cfg.n))
     for t in range(1, cfg.T + 1):
         if cfg.d == 0:
             continue
@@ -71,8 +73,12 @@ def generate_always_star(cfg: GeneratorConfig) -> TemporalGraph:
             leaves = []
         leaves = [l for l in leaves if rng.random() < cfg.persistence]
         k = rng.randint(1, cfg.d)
-        taken = set(leaves)
-        candidates = [v for v in range(cfg.n) if v != center and v not in taken]
+        # every vertex but the center and the leaves, in increasing order:
+        # vertex v sits at index v, so deleting from the top down keeps the
+        # indices of those still to delete
+        candidates = everyone[:]
+        for v in sorted([center, *leaves], reverse=True):
+            del candidates[v]
         _shuffle_tail(rng, candidates, k - len(leaves))
         while len(leaves) < k and candidates:
             leaves.append(candidates.pop())

@@ -10,6 +10,7 @@ and adjacency lookups are direct array accesses.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Iterable, NamedTuple, Optional
@@ -93,7 +94,8 @@ def build_graph(n: int, T: int, edge_list: Iterable) -> TemporalGraph:
     ``appearance_list`` may be any iterable, read once.  Raises
     TooLargeError, before allocating anything, when ``n`` or ``T`` exceeds
     ``MAX_SIZE``.  A vertex or label that is not an integer is an
-    OutOfRangeVertexError or OutOfRangeLabelError naming it.
+    OutOfRangeVertexError or OutOfRangeLabelError naming it, and a label
+    list that is not iterable is an OutOfRangeLabelError naming its edge.
     """
     if n < 0 or T < 0:
         raise OutOfRangeLabelError(f"n and T must be nonnegative, got n={n} T={T}")
@@ -112,7 +114,11 @@ def build_graph(n: int, T: int, edge_list: Iterable) -> TemporalGraph:
             raise OutOfRangeVertexError(f"endpoint not an integer in ({u!r}, {v!r})") from None
         key = (u, v) if u < v else (v, u)
         ts = merged.setdefault(key, set())
-        labels = iter(labels)  # so only a label's own TypeError is caught
+        try:
+            labels = iter(labels)  # so only a label's own TypeError is caught
+        except TypeError:
+            raise OutOfRangeLabelError(
+                f"labels {labels!r} on edge {key} are not iterable") from None
         try:
             for t in labels:
                 if not (1 <= t <= T):
@@ -297,14 +303,18 @@ def validate_cover(g: TemporalGraph, delta: int, cover: Cover) -> Optional[Deman
 
 
 def max_snapshot_degree(g: TemporalGraph) -> int:
-    """Largest vertex degree over all snapshots (the class parameter d)."""
+    """Largest vertex degree over all snapshots (the class parameter d).
+
+    Counted per vertex: its degree at step t is how many of its incident
+    edges carry label t, so one ``Counter`` over those edges' labels gives
+    its largest degree in O(appearances), in C-level loops.  A vertex with
+    no more incident edges than the best degree so far cannot beat it and
+    is skipped.
+    """
+    edges = g.edges
     best = 0
-    for t in range(1, g.T + 1):
-        deg: dict = {}
-        for eid in g.time_index[t]:
-            e = g.edges[eid]
-            deg[e.u] = deg.get(e.u, 0) + 1
-            deg[e.v] = deg.get(e.v, 0) + 1
-        if deg:
-            best = max(best, max(deg.values()))
+    for ids in g.adjacency:
+        if len(ids) > best:
+            counts = Counter(chain.from_iterable(edges[e].appearances for e in ids))
+            best = max(best, max(counts.values()))
     return best

@@ -143,6 +143,16 @@ class TestShuffleTail:
                 empty_snapshot_prob=rng.choice([0.0, 0.3, 1.0]),
                 persistence=rng.choice([0.0, 0.5, 0.9, 1.0]),
                 center_switch_prob=rng.choice([0.0, 0.1, 1.0])))
+        # around 256 the shuffle's draws change bit length; d = n-1 lets the
+        # center and leaves exclude anything from one vertex to all n, and
+        # lets a step pop every candidate
+        for n in (255, 256, 257, 300):
+            for d in (1, n - 1):
+                for persistence in (0.0, 1.0):
+                    for underlying_star in (False, True):
+                        configs.append(GeneratorConfig(
+                            n=n, T=40, d=d, seed=n + d, underlying_star=underlying_star,
+                            persistence=persistence, center_switch_prob=0.1))
         for cfg in configs:
             g = generate_always_star(cfg)
             got = [(e.u, e.v, e.appearances) for e in g.edges]

@@ -17,6 +17,7 @@ from swtvc import (
     build_graph,
     demands,
     edges_at,
+    max_snapshot_degree,
     star_center_at,
     validate_always_star,
     validate_cover,
@@ -68,6 +69,12 @@ class TestBuildGraph:
         value = re.escape(value)
         with pytest.raises(error, match=f"{value}.*not an integer|not an integer.*{value}"):
             build_graph(3, 3, [(1, 2, [1]), edge])
+
+    @pytest.mark.parametrize("labels", [5, None])
+    def test_non_iterable_labels_are_a_range_error_naming_the_edge(self, labels):
+        with pytest.raises(OutOfRangeLabelError,
+                           match=re.escape(f"labels {labels!r} on edge (0, 1) are not iterable")):
+            build_graph(2, 3, [(0, 1, labels)])
 
     def test_size_limit(self):
         with pytest.raises(TooLargeError):
@@ -285,6 +292,60 @@ class TestValidateAlwaysStar:
 
     def test_empty_graph(self):
         assert validate_always_star(build_graph(3, 4, [])) is None
+
+
+def max_snapshot_degree_reference(g):
+    """``max_snapshot_degree`` as a per-step dict count, kept frozen as the
+    oracle of ``TestMaxSnapshotDegreeDifferential``."""
+    best = 0
+    for t in range(1, g.T + 1):
+        deg: dict = {}
+        for eid in g.time_index[t]:
+            e = g.edges[eid]
+            deg[e.u] = deg.get(e.u, 0) + 1
+            deg[e.v] = deg.get(e.v, 0) + 1
+        if deg:
+            best = max(best, max(deg.values()))
+    return best
+
+
+class TestMaxSnapshotDegreeDifferential:
+    """``max_snapshot_degree`` against its frozen per-step reference."""
+
+    @pytest.mark.parametrize("n, T, edge_list, expected", [
+        (4, 5, [], 0),  # no edges
+        (3, 0, [], 0),  # T = 0
+        (1, 4, [], 0),  # n = 1
+        (6, 3, [(1, 4, [2])], 1),  # isolated vertices around one edge
+        # vertex 0 reaches degree 2; vertex 2 then has 2 incident edges,
+        # as many as the best so far, and degree 2 as well
+        (4, 2, [(0, 1, [1]), (0, 2, [1]), (2, 3, [1])], 2),
+        # vertex 0 reaches degree 1 over two steps; vertices 1 and 2 have
+        # one incident edge each, as many as the best so far
+        (3, 2, [(0, 1, [1]), (0, 2, [2])], 1),
+        # vertex 1 ties vertex 0's degree 2 on edge count, with degree 1
+        (4, 2, [(0, 1, [1]), (0, 2, [1]), (1, 3, [2])], 2),
+        # vertex 1 ties the best so far (1) on edge count, vertex 2 beats
+        # it with degree 2, and vertex 3 then ties that on edge count
+        (5, 3, [(0, 1, [1]), (0, 3, [2]), (2, 3, [3]), (2, 4, [3])], 2),
+    ])
+    def test_edge_cases(self, n, T, edge_list, expected):
+        g = build_graph(n, T, edge_list)
+        assert max_snapshot_degree(g) == expected
+        assert max_snapshot_degree_reference(g) == expected
+
+    def test_random_general_graphs(self):
+        for seed in range(300):
+            g = random_general_graph(seed, n=1 + seed % 9, T=seed % 12,
+                                     max_edges=seed % 17, app_prob=0.2 + 0.1 * (seed % 7))
+            assert max_snapshot_degree(g) == max_snapshot_degree_reference(g), seed
+
+    def test_random_star_graphs(self):
+        for seed in range(120):
+            for d in (1, 4, 9):
+                g = random_star_graph(seed, n=10, T=seed % 15, d=d,
+                                      underlying=seed % 2 == 0, empty_prob=0.2)
+                assert max_snapshot_degree(g) == max_snapshot_degree_reference(g), (seed, d)
 
 
 def demands_reference(g, delta):
