@@ -36,27 +36,21 @@ def single_edge_exact(appearances, T: int, delta: int):
     last = 0
     j = 0
     while j < len(apps):
-        a = apps[j]
-        t = max(last + 1, a - delta + 1)
+        t = max(last + 1, apps[j] - delta + 1)
         if t > last_start:
             break
-        window_end = t + delta - 1
-        pick = apps[bisect_right(apps, window_end) - 1]
-        chosen.append(pick)
-        last = pick
-        j = bisect_right(apps, pick)
+        # the window's last appearance; j moves just past it
+        j = bisect_right(apps, t + delta - 1)
+        last = apps[j - 1]
+        chosen.append(last)
     return chosen
 
 
 def chosen_endpoint(g: TemporalGraph, eid: int) -> int:
-    """Endpoint hosting a single-edge cover: larger degree, ties to the
-    smaller vertex id.  Shared endpoints shrink the union."""
-    e = g.edges[eid]
-    du = len(g.adjacency[e.u])
-    dv = len(g.adjacency[e.v])
-    if du != dv:
-        return e.u if du > dv else e.v
-    return min(e.u, e.v)
+    """Endpoint hosting a single-edge cover: larger degree, ties to ``u``,
+    the smaller vertex id.  Shared endpoints shrink the union."""
+    u, v, _ = g.edges[eid]
+    return v if len(g.adjacency[v]) > len(g.adjacency[u]) else u
 
 
 def d_approx_solve(g: TemporalGraph, delta: int) -> Cover:

@@ -62,6 +62,11 @@ Cover = set
 class TemporalGraph:
     """Immutable temporal graph with per-step and per-vertex edge indices.
 
+    Every edge is stored as ``(u, v, appearances)`` with ``u < v`` and
+    strictly increasing labels, and no two edges join the same pair; the
+    helpers that pick endpoints and appearances read these orders rather
+    than re-deriving them.
+
     ``time_index[t]`` (t in 1..T) holds the ids of edges active at step t;
     index 0 is unused.  ``adjacency[v]`` holds the ids of edges incident to
     vertex v (each edge id appears at both endpoints).
@@ -174,17 +179,11 @@ def star_center_at(g: TemporalGraph, t: int) -> Optional[int]:
         return None
     edges = g.edges
     u, v, _ = edges[active[0]]
-    if len(active) == 1:
-        return min(u, v)
-    # two distinct edges share at most one endpoint: the only candidate
-    a, b, _ = edges[active[1]]
-    if u == a or u == b:
-        center = u
-    elif v == a or v == b:
-        center = v
-    else:
-        raise NotAStarError(t)
-    for eid in active[2:]:
+    # two distinct edges share at most one endpoint, so the first edge's v
+    # is the only candidate when another edge holds it, and u otherwise
+    a, b, _ = edges[active[-1]]
+    center = v if len(active) > 1 and (a == v or b == v) else u
+    for eid in active:
         a, b, _ = edges[eid]
         if a != center and b != center:
             raise NotAStarError(t)
@@ -210,6 +209,11 @@ def validate_always_star(g: TemporalGraph) -> Optional[int]:
 
 
 def _check_delta(T: int, delta: int) -> None:
+    """The one check of Δ: an integer in ``[1, T]``, or any positive integer
+    when ``T`` is 0."""
+    # looked up on the type, so no bound method is made per call
+    if not hasattr(type(delta), "__index__"):
+        raise BadDeltaError(f"delta {delta!r} is not an integer")
     if not (1 <= delta <= T) and not (T == 0 and delta >= 1):
         raise BadDeltaError(f"delta {delta} outside [1, {T}]")
 
@@ -260,6 +264,12 @@ def validate_cover(g: TemporalGraph, delta: int, cover: Cover) -> Optional[Deman
     Failures are reported in (window_start, edge id) order: the witness is
     the same ``demands(g, delta)`` entry a scan of that list would stop at.
 
+    A cover element that is not a pair, or whose vertex is not a number,
+    is an OutOfRangeVertexError naming it; a time that is not a number is
+    an OutOfRangeLabelError naming it.  A float inside the ranges, such as
+    ``(0, 1.5)``, is accepted: it covers what an equal integer would, so
+    ``1.5`` covers nothing.
+
     Runs in O(appearances + |cover|) time with one dict lookup per
     appearance.  Each edge's sorted appearances are swept once.  An
     appearance that no cover vertex meets opens a candidate start, the
@@ -271,11 +281,21 @@ def validate_cover(g: TemporalGraph, delta: int, cover: Cover) -> Optional[Deman
     _check_delta(g.T, delta)
     at: dict = {}  # time step -> cover vertices at that step
     for va in cover:
-        v, t = va
-        if not (0 <= v < g.n):
-            raise OutOfRangeVertexError(f"appearance vertex {v} outside [0, {g.n})")
-        if not (1 <= t <= g.T):
-            raise OutOfRangeLabelError(f"appearance time {t} outside [1, {g.T}]")
+        # a malformed element fails as a TypeError or ValueError in the
+        # unpack or a comparison; only then is it named, as in build_graph
+        try:
+            v, t = va
+            if not (0 <= v < g.n):
+                raise OutOfRangeVertexError(f"appearance vertex {v} outside [0, {g.n})")
+        except (TypeError, ValueError):
+            raise OutOfRangeVertexError(
+                f"cover element {va!r} is not a (vertex, time) pair of integers") from None
+        try:
+            if not (1 <= t <= g.T):
+                raise OutOfRangeLabelError(f"appearance time {t} outside [1, {g.T}]")
+        except TypeError:
+            raise OutOfRangeLabelError(
+                f"appearance time {t!r} in cover element {va!r} is not an integer") from None
         at.setdefault(t, set()).add(v)
 
     first = None

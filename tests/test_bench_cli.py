@@ -93,6 +93,12 @@ class TestRunBenchmark:
                                     repetitions=1)
             assert [r.status for r in records] == ["error:BadDeltaError"] * 4
 
+    def test_non_integer_delta_fails_each_cell(self, example_graph):
+        for delta in (2.5, 2.0, "3", None):
+            records = run_benchmark([("ex", example_graph)], list(ALGORITHMS),
+                                    delta, repetitions=1)
+            assert [r.status for r in records] == ["error:BadDeltaError"] * len(ALGORITHMS)
+
     def test_unknown_algorithm(self, example_graph):
         with pytest.raises(BadConfigError, match="no-such-algo"):
             run_benchmark([("ex", example_graph)], ["d-approx", "no-such-algo"], 2)

@@ -1,3 +1,4 @@
+import random
 from bisect import bisect_left, bisect_right
 from itertools import combinations
 
@@ -62,6 +63,69 @@ class TestSingleEdgeExact:
         chosen = single_edge_exact(apps, T, delta)
         assert set(chosen) <= set(apps)
         assert len(chosen) == brute_minimum_size(apps, T, delta)
+
+
+def single_edge_exact_reference(apps, T, delta):
+    """``single_edge_exact`` with its second bisection, kept frozen as the
+    oracle of ``TestSingleEdgeExactDifferential``."""
+    chosen = []
+    last_start = T - delta + 1
+    last = 0
+    j = 0
+    while j < len(apps):
+        a = apps[j]
+        t = max(last + 1, a - delta + 1)
+        if t > last_start:
+            break
+        window_end = t + delta - 1
+        pick = apps[bisect_right(apps, window_end) - 1]
+        chosen.append(pick)
+        last = pick
+        j = bisect_right(apps, pick)
+    return chosen
+
+
+class TestSingleEdgeExactDifferential:
+    """Sparse long lifetimes, past the brute-force test's T <= 10."""
+
+    def test_sparse_long_lifetimes(self):
+        rng = random.Random(7)
+        for _ in range(400):
+            T = rng.randint(1, 300)
+            apps = sorted(rng.sample(range(1, T + 1), rng.randint(0, min(T, 25))))
+            mid = rng.randint(1, T)
+            for delta in {1, min(2, T), mid, max(T - 1, 1), T}:
+                assert (single_edge_exact(apps, T, delta)
+                        == single_edge_exact_reference(apps, T, delta))
+
+    def test_empty_and_boundary_labels(self):
+        for T in (1, 2, 299, 300):
+            for apps in ([], [1], [T], [1, T]):
+                for delta in (1, T // 2 or 1, T):
+                    assert (single_edge_exact(apps, T, delta)
+                            == single_edge_exact_reference(apps, T, delta))
+
+
+def chosen_endpoint_reference(g, eid):
+    """``chosen_endpoint`` with its explicit tie branch, kept frozen as the
+    oracle of ``TestChosenEndpointDifferential``."""
+    e = g.edges[eid]
+    du = len(g.adjacency[e.u])
+    dv = len(g.adjacency[e.v])
+    if du != dv:
+        return e.u if du > dv else e.v
+    return min(e.u, e.v)
+
+
+class TestChosenEndpointDifferential:
+    def test_random_general_graphs(self):
+        ties = 0
+        for seed in range(200):
+            g = random_general_graph(seed, n=7, T=6, max_edges=12, app_prob=0.5)
+            for eid, (u, v, _) in enumerate(g.edges):
+                assert chosen_endpoint(g, eid) == chosen_endpoint_reference(g, eid)
+                ties += len(g.adjacency[u]) == len(g.adjacency[v])
+        assert ties > 0  # the corpus reaches the tie branch
 
 
 class TestDApprox:

@@ -14,11 +14,19 @@ from swtvc import (
     SelfLoopError,
     TooLargeError,
     TvcError,
+    brute_force_solve,
     build_graph,
+    d1_approx_solve,
+    d_approx_s_solve,
+    d_approx_solve,
     demands,
     edges_at,
+    exact_solve,
     max_snapshot_degree,
+    single_edge_exact,
+    star_acov_solve,
     star_center_at,
+    star_sc_solve,
     validate_always_star,
     validate_cover,
 )
@@ -398,6 +406,28 @@ class TestDemands:
                 assert demands(g, delta) == demands_reference(g, delta)
 
 
+#: Every entry point whose Δ `_check_delta` checks, called as ``f(graph, delta)``.
+DELTA_ENTRY_POINTS = {
+    "single_edge_exact": lambda g, delta: single_edge_exact([1, 2], g.T, delta),
+    "star_sc_solve": star_sc_solve,
+    "star_acov_solve": star_acov_solve,
+    "d_approx_solve": d_approx_solve,
+    "d_approx_s_solve": d_approx_s_solve,
+    "d1_approx_solve": d1_approx_solve,
+    "exact_solve": exact_solve,
+    "brute_force_solve": brute_force_solve,
+    "demands": demands,
+    "validate_cover": lambda g, delta: validate_cover(g, delta, set()),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(DELTA_ENTRY_POINTS))
+@pytest.mark.parametrize("delta", [2.5, 2.0, "3", None])
+def test_non_integer_delta_is_a_bad_delta(periodic_worst_case, entry, delta):
+    with pytest.raises(BadDeltaError, match="not an integer"):
+        DELTA_ENTRY_POINTS[entry](periodic_worst_case, delta)
+
+
 class TestValidateCover:
     def test_known_valid_cover(self, example_graph):
         assert validate_cover(example_graph, 2, {(0, 1), (3, 2), (0, 3)}) is None
@@ -414,6 +444,23 @@ class TestValidateCover:
             validate_cover(example_graph, 2, {(9, 1)})
         with pytest.raises(OutOfRangeLabelError):
             validate_cover(example_graph, 2, {(0, 9)})
+
+    @pytest.mark.parametrize("element", [("a", 1), (0, 1, 2), (0,), 5, (None, 1)])
+    def test_malformed_element_is_a_vertex_error_naming_it(self, example_graph,
+                                                          element):
+        with pytest.raises(OutOfRangeVertexError, match=re.escape(repr(element))):
+            validate_cover(example_graph, 2, [element])
+
+    @pytest.mark.parametrize("element", [(0, "a"), (0, None), (0, [1])])
+    def test_non_integer_time_is_a_label_error_naming_it(self, example_graph,
+                                                         element):
+        with pytest.raises(OutOfRangeLabelError, match=re.escape(repr(element))):
+            validate_cover(example_graph, 2, [element])
+
+    def test_float_in_range_is_accepted(self, example_graph):
+        # 1.0 covers what 1 does; 1.5 matches no label and covers nothing
+        assert validate_cover(example_graph, 2, {(0.0, 1.0), (3, 2), (0, 3)}) is None
+        assert validate_cover(example_graph, 2, {(0, 1.5), (3, 2), (0, 3)}) == Demand(1, 1)
 
     def test_superset_monotonicity(self, example_graph):
         base = {(0, 1), (3, 2), (0, 3)}
