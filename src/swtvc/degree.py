@@ -12,12 +12,14 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 
+from .errors import OutOfRangeLabelError
 from .graph import (
     Cover,
     TemporalGraph,
     VertexAppearance,
     _check_delta,
     _demand_buckets,
+    _is_integer,
     _window_starts,
 )
 
@@ -27,12 +29,27 @@ def single_edge_exact(appearances, T: int, delta: int):
 
     Greedy canonical form: walk demand windows left to right and, on the
     first uncovered one, take the largest appearance inside it.  Returns
-    the chosen time steps in increasing order.
+    the chosen time steps in increasing order.  The labels must be
+    integers in ``[1, T]``, in nondecreasing order; any other label is an
+    OutOfRangeLabelError naming it.
     """
     _check_delta(T, delta)
     apps = list(appearances)
+    before = 1
+    for a in apps:
+        if not _is_integer(a):
+            raise OutOfRangeLabelError(f"label {a!r} is not an integer")
+        if not (1 <= a <= T):
+            raise OutOfRangeLabelError(f"label {a} outside [1, {T}]")
+        if a < before:
+            raise OutOfRangeLabelError(f"label {a} is smaller than the label {before} before it")
+        before = a
+    return _single_edge_picks(apps, T - delta + 1, delta)
+
+
+def _single_edge_picks(apps, last_start: int, delta: int) -> list:
+    """``single_edge_exact``'s greedy on a sorted label sequence, unchecked."""
     chosen = []
-    last_start = T - delta + 1
     last = 0
     j = 0
     while j < len(apps):
@@ -84,10 +101,11 @@ def d_approx_s_solve(g: TemporalGraph, delta: int) -> Cover:
     """Same contract and same output set as ``d_approx_solve``; skips time
     steps without an edge appearance by walking the appearance lists."""
     _check_delta(g.T, delta)
+    last_start = g.T - delta + 1
     cover = set()
     for eid, edge in enumerate(g.edges):
         v = chosen_endpoint(g, eid)
-        for t in single_edge_exact(edge.appearances, g.T, delta):
+        for t in _single_edge_picks(edge.appearances, last_start, delta):
             cover.add(VertexAppearance(v, t))
     return cover
 

@@ -15,8 +15,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import BadConfigError
-from .graph import TemporalGraph, _check_size, build_graph
+from .errors import BadConfigError, BadDeltaError
+from .graph import TemporalGraph, _check_size, _is_integer, build_graph
 
 
 @dataclass(frozen=True)
@@ -116,6 +116,15 @@ def _shuffle_tail(rng, x, count):
             pass
 
 
+def _check_family_delta(delta) -> None:
+    """A worst-case family's Δ: a BadDeltaError unless an integer, and a
+    BadConfigError below 2."""
+    if not _is_integer(delta):
+        raise BadDeltaError(f"delta {delta!r} is not an integer")
+    if delta < 2:
+        raise BadConfigError(f"need delta >= 2, got {delta}")
+
+
 def worst_case_acov_instance(delta: int, reps: int, leaves: int = None) -> TemporalGraph:
     """Periodic family on which the sliding-window solver hits ratio delta-1.
 
@@ -124,10 +133,13 @@ def worst_case_acov_instance(delta: int, reps: int, leaves: int = None) -> Tempo
     delta-1 snapshots split the edges into disjoint nonempty groups.  The
     center is vertex 0 throughout.
     """
-    if delta < 2 or reps < 1:
-        raise BadConfigError(f"need delta >= 2 and reps >= 1, got {delta}, {reps}")
+    _check_family_delta(delta)
+    if not _is_integer(reps) or reps < 1:
+        raise BadConfigError(f"need an integer reps >= 1, got {reps!r}")
     if leaves is None:
         leaves = delta - 1
+    if not _is_integer(leaves):
+        raise BadConfigError(f"leaves {leaves!r} is not an integer")
     if leaves < delta - 1:
         raise BadConfigError(f"need leaves >= delta-1, got {leaves}")
     _check_size(leaves + 1, reps * delta)
@@ -153,8 +165,8 @@ def worst_case_acov_instance(delta: int, reps: int, leaves: int = None) -> Tempo
 def worst_case_sc_instance(delta: int) -> TemporalGraph:
     """Static single-edge star realizing the 2*delta-1 ratio: one edge
     active at every step of a lifetime of 2*delta-1."""
-    if delta < 2:
-        raise BadConfigError(f"need delta >= 2, got {delta}")
+    _check_family_delta(delta)
     T = 2 * delta - 1
     _check_size(2, T)
     return build_graph(2, T, [(0, 1, list(range(1, T + 1)))])
+

@@ -10,6 +10,7 @@ and adjacency lookups are direct array accesses.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -208,11 +209,17 @@ def validate_always_star(g: TemporalGraph) -> Optional[int]:
     return None
 
 
+def _is_integer(x) -> bool:
+    """The one test of "is an integer" for Δ, labels and generator counts:
+    the type has ``__index__``, looked up on the type, so no bound method
+    is made per call."""
+    return hasattr(type(x), "__index__")
+
+
 def _check_delta(T: int, delta: int) -> None:
     """The one check of Δ: an integer in ``[1, T]``, or any positive integer
     when ``T`` is 0."""
-    # looked up on the type, so no bound method is made per call
-    if not hasattr(type(delta), "__index__"):
+    if not _is_integer(delta):
         raise BadDeltaError(f"delta {delta!r} is not an integer")
     if not (1 <= delta <= T) and not (T == 0 and delta >= 1):
         raise BadDeltaError(f"delta {delta} outside [1, {T}]")
@@ -227,20 +234,35 @@ def _demand_buckets(g: TemporalGraph, delta: int) -> list:
     """Edge ids with a demand at each window start, increasing per start.
 
     ``buckets[w]`` (w in 1..T-delta+1) lists the edges that appear inside
-    the window starting at ``w``; index 0 is empty.  Appearance ``a`` opens
-    the starts in ``_window_starts(a)``, and since appearances increase
-    strictly it only adds those past the last start its predecessor
-    reached.  ``delta`` must already have passed ``_check_delta``.
+    the window starting at ``w``; index 0 is empty, and with ``T`` 0 and
+    ``delta`` 2 or more the list itself is.  One sweep t = 1..T over
+    ``time_index`` keeps ``inside[eid]``, the edge's appearances in the
+    window ending at t, and ``live``, the sorted ids of the edges with a
+    positive count: an edge is inserted when its count leaves 0 and
+    removed when it returns to 0.  Once the window starting at
+    w = t-delta+1 is complete, ``buckets[w]`` is a fresh copy of ``live``
+    and the edges of step w leave.  That is O(1) Python-level work per
+    appearance, a C-level sorted insert or delete when an edge enters or
+    leaves, and one C-level copy per start, where the per-edge form made
+    one Python-level append per demand.  ``delta`` must already have passed
+    ``_check_delta``.
     """
-    last_start = g.T - delta + 1
-    buckets = [[] for _ in range(last_start + 1)]
-    for eid, edge in enumerate(g.edges):
-        reached = 0  # last start already listed for this edge
-        for a in edge.appearances:
-            hi = min(a, last_start)
-            for w in range(max(reached + 1, a - delta + 1), hi + 1):
-                buckets[w].append(eid)
-            reached = hi
+    index = g.time_index
+    inside = [0] * len(g.edges)
+    live = []
+    buckets = [[]] if g.T >= delta - 1 else []
+    for t in range(1, g.T + 1):
+        for eid in index[t]:
+            if not inside[eid]:
+                insort(live, eid)
+            inside[eid] += 1
+        w = t - delta + 1
+        if w >= 1:
+            buckets.append(live[:])
+            for eid in index[w]:
+                inside[eid] -= 1
+                if not inside[eid]:
+                    del live[bisect_left(live, eid)]
     return buckets
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 from bisect import bisect_left, bisect_right
 from itertools import combinations
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from swtvc import (
     BadDeltaError,
     GeneratorConfig,
+    OutOfRangeLabelError,
     VertexAppearance,
     build_graph,
     chosen_endpoint,
@@ -53,6 +55,25 @@ class TestSingleEdgeExact:
     def test_bad_delta(self):
         with pytest.raises(BadDeltaError):
             single_edge_exact([1], 3, 0)
+
+    @pytest.mark.parametrize("apps, named", [
+        ([3, 1], "label 1 is smaller than the label 3"),
+        ([1, 3, 2, 3], "label 2 is smaller than the label 3"),
+        ([5], "label 5 outside [1, 3]"),
+        ([0, 1], "label 0 outside [1, 3]"),
+        ([1, 2.5], "label 2.5 is not an integer"),
+        ([2.0], "label 2.0 is not an integer"),
+        (["2"], "label '2' is not an integer"),
+        ([1, None], "label None is not an integer"),
+    ])
+    def test_bad_label_is_a_range_error_naming_it(self, apps, named):
+        with pytest.raises(OutOfRangeLabelError, match=re.escape(named)):
+            single_edge_exact(apps, 3, 1)
+
+    def test_repeated_labels_accepted(self):
+        assert single_edge_exact([1, 1], 1, 1) == [1]
+        assert single_edge_exact([1, 2, 2, 3], 3, 1) == [1, 2, 3]
+        assert single_edge_exact((t for t in [2, 2, 3]), 3, 2) == [2]
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())

@@ -1,4 +1,5 @@
 import random
+import re
 import tempfile
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 
 from swtvc import (
     BadConfigError,
+    BadDeltaError,
     GeneratorConfig,
     TooLargeError,
     generate_always_star,
@@ -159,6 +161,10 @@ class TestShuffleTail:
             assert got == shuffle_reference_star(cfg), cfg
 
 
+#: Values the worst-case builders reject as not an integer.
+NON_INTEGERS = [2.5, 2.0, "3", None]
+
+
 class TestWorstCaseAcovFamily:
     def test_reproduces_reference_instance(self, periodic_worst_case):
         g = periodic_worst_case
@@ -198,6 +204,21 @@ class TestWorstCaseAcovFamily:
         with pytest.raises(BadConfigError):
             worst_case_acov_instance(3, 2, leaves=1)
 
+    @pytest.mark.parametrize("value", NON_INTEGERS)
+    def test_non_integer_delta_is_a_bad_delta(self, value):
+        with pytest.raises(BadDeltaError, match="not an integer"):
+            worst_case_acov_instance(value, 2)
+
+    @pytest.mark.parametrize("value", NON_INTEGERS)
+    def test_non_integer_reps_is_a_bad_config(self, value):
+        with pytest.raises(BadConfigError, match=re.escape(repr(value))):
+            worst_case_acov_instance(3, value)
+
+    @pytest.mark.parametrize("value", NON_INTEGERS[:-1])  # None is the default
+    def test_non_integer_leaves_is_a_bad_config(self, value):
+        with pytest.raises(BadConfigError, match=re.escape(repr(value))):
+            worst_case_acov_instance(3, 2, value)
+
 
 class TestWorstCaseScFamily:
     def test_structure(self):
@@ -208,3 +229,8 @@ class TestWorstCaseScFamily:
     def test_bad_config(self):
         with pytest.raises(BadConfigError):
             worst_case_sc_instance(1)
+
+    @pytest.mark.parametrize("value", NON_INTEGERS)
+    def test_non_integer_delta_is_a_bad_delta(self, value):
+        with pytest.raises(BadDeltaError, match="not an integer"):
+            worst_case_sc_instance(value)

@@ -31,7 +31,13 @@ from swtvc import (
     validate_cover,
 )
 
-from swtvc.graph import MAX_SIZE, TemporalGraph, UnderlyingEdge, _check_size
+from swtvc.graph import (
+    MAX_SIZE,
+    TemporalGraph,
+    UnderlyingEdge,
+    _check_size,
+    _demand_buckets,
+)
 
 from conftest import random_general_graph, random_star_graph
 
@@ -404,6 +410,63 @@ class TestDemands:
         for g in graphs:
             for delta in range(1, g.T + 1):
                 assert demands(g, delta) == demands_reference(g, delta)
+
+
+def demand_buckets_reference(g, delta):
+    """``_demand_buckets`` as one append per (start, edge) pair, kept frozen
+    as the oracle of ``TestDemandBucketsDifferential``."""
+    last_start = g.T - delta + 1
+    buckets = [[] for _ in range(last_start + 1)]
+    for eid, edge in enumerate(g.edges):
+        reached = 0  # last start already listed for this edge
+        for a in edge.appearances:
+            hi = min(a, last_start)
+            for w in range(max(reached + 1, a - delta + 1), hi + 1):
+                buckets[w].append(eid)
+            reached = hi
+    return buckets
+
+
+class TestDemandBucketsDifferential:
+    """``_demand_buckets``' sweep against its frozen per-appearance form."""
+
+    def check(self, g, deltas):
+        for delta in deltas:
+            buckets = _demand_buckets(g, delta)
+            assert buckets == demand_buckets_reference(g, delta), (g, delta)
+            # one fresh list per start: no two buckets are the same object
+            assert len({id(b) for b in buckets}) == len(buckets), (g, delta)
+
+    def test_zero_lifetime(self):
+        for n in (1, 2, 5):
+            self.check(build_graph(n, 0, []), (1, 2, 3))
+
+    def test_random_general_graphs(self):
+        # every Δ from 1 to T; low appearance rates leave snapshots empty
+        for seed in range(200):
+            g = random_general_graph(seed, n=2 + seed % 6, T=seed % 20,
+                                     max_edges=seed % 12, app_prob=0.1 + 0.1 * (seed % 6))
+            self.check(g, range(1, g.T + 1))
+
+    def test_long_sparse_lifetimes(self):
+        rng = random.Random(11)
+        for _ in range(150):
+            T = rng.randint(1, 500)
+            n = rng.randint(2, 7)
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            edge_list = [(u, v, rng.sample(range(1, T + 1), rng.randint(1, min(T, 4))))
+                         for u, v in rng.sample(pairs, rng.randint(0, len(pairs)))]
+            g = build_graph(n, T, edge_list)
+            self.check(g, {1, min(2, T), rng.randint(1, T), max(T - 1, 1), T})
+
+    def test_dense_snapshots(self):
+        for seed in range(60):
+            n = 3 + seed % 10
+            T = seed % 25
+            self.check(random_star_graph(seed, n=n, T=T, d=n - 1, empty_prob=0.2),
+                       range(1, T + 1))
+            self.check(random_general_graph(seed, n=n, T=T, max_edges=n * (n - 1) // 2,
+                                            app_prob=0.9), range(1, T + 1))
 
 
 #: Every entry point whose Δ `_check_delta` checks, called as ``f(graph, delta)``.
