@@ -21,7 +21,7 @@ from .errors import (
 )
 from .exact import exact_solve
 from .formats import _read_text
-from .graph import TemporalGraph, validate_cover
+from .graph import TemporalGraph, _check_int, validate_cover
 from .star import star_acov_solve, star_sc_solve
 
 CSV_HEADER = ["graph", "algo", "delta", "cover_size", "valid", "time_ms_geomean", "reps"]
@@ -95,10 +95,10 @@ def run_benchmark(
     algorithms on a non-star input) is recorded as skipped, any other
     TvcError as ``error:<Name>``, and the batch goes on.  The caller writes
     the records out, e.g. with ``write_csv``.  Raises BadConfigError when
-    ``repetitions`` is below 1 or an algorithm is not in ``ALGORITHMS``.
+    ``repetitions`` is not an integer of at least 1 or an algorithm is not
+    in ``ALGORITHMS``.
     """
-    if repetitions < 1:
-        raise BadConfigError(f"repetitions must be >= 1, got {repetitions}")
+    _check_int(repetitions, "repetitions", 1)
     unknown = [a for a in algorithms if a not in ALGORITHMS]
     if unknown:
         raise BadConfigError(f"unknown algorithms: {unknown}")
@@ -130,7 +130,9 @@ def run_benchmark(
 
 
 def write_csv(records: Sequence[BenchRecord], path) -> None:
-    with open(path, "w", newline="") as fh:
+    # UTF-8 like read_csv; a path from argv under a non-UTF-8 locale holds
+    # surrogate escapes, written back as the path's own bytes
+    with open(path, "w", newline="", encoding="utf-8", errors="surrogateescape") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         for rec in records:

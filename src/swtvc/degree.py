@@ -18,6 +18,7 @@ from .graph import (
     TemporalGraph,
     VertexAppearance,
     _check_delta,
+    _check_int,
     _demand_buckets,
     _is_integer,
     _window_starts,
@@ -29,10 +30,11 @@ def single_edge_exact(appearances, T: int, delta: int):
 
     Greedy canonical form: walk demand windows left to right and, on the
     first uncovered one, take the largest appearance inside it.  Returns
-    the chosen time steps in increasing order.  The labels must be
-    integers in ``[1, T]``, in nondecreasing order; any other label is an
-    OutOfRangeLabelError naming it.
+    the chosen time steps in increasing order.  ``T`` must be an integer of
+    at least 0 and the labels integers in ``[1, T]``, in nondecreasing
+    order; any other ``T`` or label is an OutOfRangeLabelError naming it.
     """
+    _check_int(T, "T", 0, OutOfRangeLabelError)
     _check_delta(T, delta)
     apps = list(appearances)
     before = 1

@@ -16,12 +16,13 @@ from bisect import bisect_left
 from itertools import combinations
 
 from .degree import d_approx_s_solve
-from .errors import BadConfigError, BudgetExceededError, TooLargeError
+from .errors import BudgetExceededError, TooLargeError
 from .graph import (
     Cover,
     TemporalGraph,
     VertexAppearance,
     _check_delta,
+    _check_int,
     _demand_buckets,
 )
 
@@ -86,11 +87,11 @@ def exact_solve(g: TemporalGraph, delta: int, budget: int = DEFAULT_BUDGET) -> C
     ``_REPLAY_ENTRY_BYTES``).  Memory is O(depth * fan-out * |demands| / 8)
     bytes for the stacked open-demand bitmasks plus that capped table.
     Raises BudgetExceededError after ``budget`` search nodes, and
-    BadConfigError before any search when ``budget`` is below 1.
+    BadConfigError before any search when ``budget`` is not an integer of
+    at least 1.
     """
     _check_delta(g.T, delta)
-    if budget < 1:
-        raise BadConfigError(f"node budget must be at least 1, got {budget}")
+    _check_int(budget, "budget", 1)
     cands, masks, by_demand = _coverage(g, delta)
     if not by_demand:
         return set()

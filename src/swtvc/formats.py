@@ -27,13 +27,12 @@ from __future__ import annotations
 from pathlib import Path
 
 from .errors import (
-    BadConfigError,
     DuplicateAppearanceError,
     EmptyInputError,
     NegativeTimestampError,
     ParseError,
 )
-from .graph import Cover, TemporalGraph, VertexAppearance, build_graph
+from .graph import Cover, TemporalGraph, VertexAppearance, _check_int, build_graph
 
 
 def _split_lines(text: str) -> list:
@@ -120,10 +119,10 @@ def convert_snap(path, bucket_seconds: int = 3600, keep_gaps: bool = True) -> Te
     first-appearance order.  Timestamps are bucketed relative to the
     dataset minimum; with ``keep_gaps`` empty buckets stay as empty
     snapshots, otherwise time steps are compacted to the nonempty buckets.
-    Raises BadConfigError when ``bucket_seconds`` is not positive.
+    Raises BadConfigError when ``bucket_seconds`` is not an integer of at
+    least 1.
     """
-    if bucket_seconds <= 0:
-        raise BadConfigError(f"bucket_seconds must be positive, got {bucket_seconds}")
+    _check_int(bucket_seconds, "bucket_seconds", 1)
     contacts = []
     ids = {}
     for lineno, line in _content_lines(path):

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import BadConfigError, BadDeltaError
-from .graph import TemporalGraph, _check_size, _is_integer, build_graph
+from .graph import TemporalGraph, _check_int, _check_size, _is_integer, build_graph
 
 
 @dataclass(frozen=True)
@@ -41,18 +41,24 @@ class GeneratorConfig:
     center_switch_prob: float = 0.1
 
     def validate(self):
-        if self.n < 1 or self.T < 0 or self.d < 0 or self.seed < 0:
-            raise BadConfigError(f"negative or empty dimension in {self}")
+        """BadConfigError naming the field and its value unless ``n`` is an
+        integer of at least 1, ``T``, ``d`` and ``seed`` integers of at least
+        0, ``d`` at most ``n - 1`` and each probability a number in [0, 1];
+        TooLargeError past the size limit."""
+        for name, low in (("n", 1), ("T", 0), ("d", 0), ("seed", 0)):
+            _check_int(getattr(self, name), name, low)
         # each step copies an n-long candidate list, long before build_graph
         # would refuse
         _check_size(self.n, self.T)
-        if self.d > 0 and self.n < 2:
-            raise BadConfigError("need n >= 2 to place any edge")
         if self.d > self.n - 1:
             raise BadConfigError(f"d={self.d} exceeds n-1={self.n - 1}")
         for name in ("empty_snapshot_prob", "persistence", "center_switch_prob"):
-            if not (0.0 <= getattr(self, name) <= 1.0):
-                raise BadConfigError(f"{name} outside [0, 1]")
+            value = getattr(self, name)
+            try:
+                if not (0.0 <= value <= 1.0):
+                    raise BadConfigError(f"{name} {value!r} outside [0, 1]")
+            except TypeError:
+                raise BadConfigError(f"{name} {value!r} is not a number") from None
 
 
 def generate_always_star(cfg: GeneratorConfig) -> TemporalGraph:
@@ -121,8 +127,7 @@ def _check_family_delta(delta) -> None:
     BadConfigError below 2."""
     if not _is_integer(delta):
         raise BadDeltaError(f"delta {delta!r} is not an integer")
-    if delta < 2:
-        raise BadConfigError(f"need delta >= 2, got {delta}")
+    _check_int(delta, "delta", 2)
 
 
 def worst_case_acov_instance(delta: int, reps: int, leaves: int = None) -> TemporalGraph:
@@ -134,14 +139,10 @@ def worst_case_acov_instance(delta: int, reps: int, leaves: int = None) -> Tempo
     center is vertex 0 throughout.
     """
     _check_family_delta(delta)
-    if not _is_integer(reps) or reps < 1:
-        raise BadConfigError(f"need an integer reps >= 1, got {reps!r}")
+    _check_int(reps, "reps", 1)
     if leaves is None:
         leaves = delta - 1
-    if not _is_integer(leaves):
-        raise BadConfigError(f"leaves {leaves!r} is not an integer")
-    if leaves < delta - 1:
-        raise BadConfigError(f"need leaves >= delta-1, got {leaves}")
+    _check_int(leaves, "leaves", delta - 1)
     _check_size(leaves + 1, reps * delta)
 
     groups = delta - 1

@@ -17,6 +17,7 @@ from itertools import chain, repeat
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import (
+    BadConfigError,
     BadDeltaError,
     OutOfRangeLabelError,
     OutOfRangeVertexError,
@@ -100,9 +101,12 @@ def build_graph(n: int, T: int, edge_list: Iterable) -> TemporalGraph:
     ``appearance_list`` may be any iterable, read once.  Raises
     TooLargeError, before allocating anything, when ``n`` or ``T`` exceeds
     ``MAX_SIZE``.  A vertex or label that is not an integer is an
-    OutOfRangeVertexError or OutOfRangeLabelError naming it, and a label
-    list that is not iterable is an OutOfRangeLabelError naming its edge.
+    OutOfRangeVertexError or OutOfRangeLabelError naming it, a label list
+    that is not iterable is an OutOfRangeLabelError naming its edge, and so
+    is an ``n`` or ``T`` that is not an integer, naming both.
     """
+    if not (_is_integer(n) and _is_integer(T)):
+        raise OutOfRangeLabelError(f"n and T must be integers, got n={n!r} T={T!r}")
     if n < 0 or T < 0:
         raise OutOfRangeLabelError(f"n and T must be nonnegative, got n={n} T={T}")
     _check_size(n, T)
@@ -162,10 +166,19 @@ def build_graph(n: int, T: int, edge_list: Iterable) -> TemporalGraph:
 
 
 def edges_at(g: TemporalGraph, t: int) -> tuple:
-    """Ids of the edges active at time step ``t`` (direct index lookup)."""
-    if not (1 <= t <= g.T):
-        raise OutOfRangeLabelError(f"time step {t} outside [1, {g.T}]")
-    return g.time_index[t]
+    """Ids of the edges active at time step ``t`` (direct index lookup).
+
+    A step outside ``[1, T]`` or not an integer is an OutOfRangeLabelError
+    naming it.
+    """
+    # a step that is not an integer fails as a TypeError in the comparison
+    # or the index; only then is it named, so a valid step pays nothing
+    try:
+        if not (1 <= t <= g.T):
+            raise OutOfRangeLabelError(f"time step {t} outside [1, {g.T}]")
+        return g.time_index[t]
+    except TypeError:
+        raise OutOfRangeLabelError(f"time step {t!r} is not an integer") from None
 
 
 def star_center_at(g: TemporalGraph, t: int) -> Optional[int]:
@@ -210,10 +223,19 @@ def validate_always_star(g: TemporalGraph) -> Optional[int]:
 
 
 def _is_integer(x) -> bool:
-    """The one test of "is an integer" for Δ, labels and generator counts:
+    """The one test of "is an integer" for Δ, labels and integer arguments:
     the type has ``__index__``, looked up on the type, so no bound method
     is made per call."""
     return hasattr(type(x), "__index__")
+
+
+def _check_int(value, name: str, low: int, error=BadConfigError) -> None:
+    """The one check of an integer argument: ``error`` naming ``name`` and
+    ``value`` unless ``value`` is an integer of at least ``low``."""
+    if not _is_integer(value):
+        raise error(f"{name} {value!r} is not an integer")
+    if value < low:
+        raise error(f"{name} must be at least {low}, got {value}")
 
 
 def _check_delta(T: int, delta: int) -> None:

@@ -1,4 +1,8 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -297,6 +301,22 @@ class TestCli:
                              "--reps", "2", "--output", str(out)]) == 0
         assert cli_dispatch(["compare", "--csv", str(out), "--algo-a",
                              "star-acov", "--algo-b", "star-sc"]) == 0
+
+    def test_bench_and_compare_non_ascii_name_under_c_locale(self, tmp_path):
+        # LC_ALL defeats the C-locale coercion and PYTHONUTF8=0 the UTF-8
+        # mode, so argv arrives surrogate-escaped and the locale is ASCII
+        write_native(random_star_graph(0, n=12, T=12, d=3), tmp_path / "é.tg")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONUTF8="0", LC_ALL="C", PYTHONPATH=src)
+        for argv in (["bench", "--inputs", "é.tg", "--algos", "star-sc", "star-acov",
+                      "--delta", "2", "--output", "b.csv"],
+                     ["compare", "--csv", "b.csv", "--algo-a", "star-acov",
+                      "--algo-b", "star-sc"]):
+            result = subprocess.run([sys.executable, "-m", "swtvc.cli", *argv],
+                                    cwd=tmp_path, env=env, capture_output=True,
+                                    timeout=60)
+            assert result.returncode == 0, result.stderr
+        assert "é.tg,star-sc," in (tmp_path / "b.csv").read_text(encoding="utf-8")
 
     def test_compare_without_bench_columns_exits_2(self, tmp_path, capsys):
         out = tmp_path / "other.csv"

@@ -171,104 +171,10 @@ def reference_coverage(g, delta):
     return ds, cands, covered
 
 
-def recursive_exact(g, delta, budget):
-    """Reference: the earlier branch and bound, one recursion level per
-    chosen appearance, children visited in candidate order."""
-    ds, cands, covered = reference_coverage(g, delta)
-    if not ds:
-        return set()
-    by_demand = [[] for _ in ds]
-    for ci, hit in enumerate(covered):
-        for di in hit:
-            by_demand[di].append(ci)
-    incumbent = d_approx_s_solve(g, delta)
-    best = [len(incumbent), set(incumbent)]
-    max_cov = max((len(h) for h in covered), default=1) or 1
-    nodes = [0]
-
-    def dfs(chosen, remaining):
-        nodes[0] += 1
-        if nodes[0] > budget:
-            raise BudgetExceededError(f"node budget {budget} exhausted")
-        if not remaining:
-            if len(chosen) < best[0]:
-                best[0] = len(chosen)
-                best[1] = set(chosen)
-            return
-        if len(chosen) + ceil(len(remaining) / max_cov) >= best[0]:
-            return
-        target = min(sorted(remaining), key=lambda di: len(by_demand[di]))
-        for ci in by_demand[target]:
-            chosen.append(cands[ci])
-            dfs(chosen, remaining - covered[ci])
-            chosen.pop()
-
-    dfs([], frozenset(range(len(ds))))
-    return {VertexAppearance(v, t) for v, t in best[1]}
-
-
-class TestExactDifferential:
-    """The explicit-stack search returns the recursive reference's cover, or
-    runs out of budget exactly where it does; brute force sees the same
-    candidates and coverage."""
-
-    BUDGETS = (20_000, 40, 1)
-
-    def check(self, g):
-        """Compare at every delta and budget; returns the (budget, outcome)
-        pairs seen."""
-        outcomes = set()
-        for delta in range(1, max(g.T, 1) + 1):
-            ds, cands, covered = reference_coverage(g, delta)
-            # demands renumbered fail-first: a stable sort on fan-out
-            fanout = Counter(di for hit in covered for di in hit)
-            order = sorted(range(len(ds)), key=lambda di: fanout[di])
-            rank = {di: r for r, di in enumerate(order)}
-            masks = [sum(1 << rank[di] for di in hit) for hit in covered]
-            got_cands, got_masks, by_demand = _coverage(g, delta)
-            assert (got_cands, got_masks) == (cands, masks)
-            assert len(by_demand) == len(ds)
-            # each demand's candidates are the set bits, in candidate order
-            assert by_demand == [[ci for ci, mask in enumerate(masks) if mask >> di & 1]
-                                 for di in range(len(ds))]
-            for budget in self.BUDGETS:
-                try:
-                    expected = recursive_exact(g, delta, budget)
-                except BudgetExceededError:
-                    outcomes.add((budget, "exhausted"))
-                    with pytest.raises(BudgetExceededError):
-                        exact_solve(g, delta, budget=budget)
-                else:
-                    outcomes.add((budget, "decided"))
-                    assert exact_solve(g, delta, budget=budget) == expected
-        return outcomes
-
-    def test_random_general_graphs(self):
-        outcomes = set()
-        for seed in range(60):
-            outcomes |= self.check(random_general_graph(seed, n=6, T=10, max_edges=7))
-        # the corpus exercises both a decided and an exhausted search
-        assert {(40, "decided"), (40, "exhausted"), (20_000, "decided")} <= outcomes
-
-    def test_random_star_graphs(self):
-        for seed in range(40):
-            self.check(random_star_graph(seed, n=7, T=10, d=3, empty_prob=0.2))
-
-    def test_worst_case_families(self):
-        for delta in range(2, 5):
-            for reps in (1, 3):
-                self.check(worst_case_acov_instance(delta, reps))
-                self.check(worst_case_acov_instance(delta, reps, delta + 2))
-            self.check(worst_case_sc_instance(delta))
-
-    def test_empty_graphs(self):
-        self.check(build_graph(3, 5, []))
-        self.check(build_graph(3, 0, []))
-
-
 def recursive_exact_nodes(g, delta, budget):
-    """Reference: ``recursive_exact`` that also returns how many search
-    nodes it took to decide."""
+    """Reference: the earlier branch and bound, one recursion level per
+    chosen appearance, children visited in candidate order.  Returns the
+    cover and how many search nodes it took to decide."""
     ds, cands, covered = reference_coverage(g, delta)
     if not ds:
         return set(), 0
@@ -300,6 +206,65 @@ def recursive_exact_nodes(g, delta, budget):
 
     dfs([], frozenset(range(len(ds))))
     return {VertexAppearance(v, t) for v, t in best[1]}, nodes[0]
+
+
+class TestExactDifferential:
+    """The explicit-stack search returns the recursive reference's cover, or
+    runs out of budget exactly where it does; brute force sees the same
+    candidates and coverage."""
+
+    BUDGETS = (20_000, 40, 1)
+
+    def check(self, g):
+        """Compare at every delta and budget; returns the (budget, outcome)
+        pairs seen."""
+        outcomes = set()
+        for delta in range(1, max(g.T, 1) + 1):
+            ds, cands, covered = reference_coverage(g, delta)
+            # demands renumbered fail-first: a stable sort on fan-out
+            fanout = Counter(di for hit in covered for di in hit)
+            order = sorted(range(len(ds)), key=lambda di: fanout[di])
+            rank = {di: r for r, di in enumerate(order)}
+            masks = [sum(1 << rank[di] for di in hit) for hit in covered]
+            got_cands, got_masks, by_demand = _coverage(g, delta)
+            assert (got_cands, got_masks) == (cands, masks)
+            assert len(by_demand) == len(ds)
+            # each demand's candidates are the set bits, in candidate order
+            assert by_demand == [[ci for ci, mask in enumerate(masks) if mask >> di & 1]
+                                 for di in range(len(ds))]
+            for budget in self.BUDGETS:
+                try:
+                    expected, _ = recursive_exact_nodes(g, delta, budget)
+                except BudgetExceededError:
+                    outcomes.add((budget, "exhausted"))
+                    with pytest.raises(BudgetExceededError):
+                        exact_solve(g, delta, budget=budget)
+                else:
+                    outcomes.add((budget, "decided"))
+                    assert exact_solve(g, delta, budget=budget) == expected
+        return outcomes
+
+    def test_random_general_graphs(self):
+        outcomes = set()
+        for seed in range(60):
+            outcomes |= self.check(random_general_graph(seed, n=6, T=10, max_edges=7))
+        # the corpus exercises both a decided and an exhausted search
+        assert {(40, "decided"), (40, "exhausted"), (20_000, "decided")} <= outcomes
+
+    def test_random_star_graphs(self):
+        for seed in range(40):
+            self.check(random_star_graph(seed, n=7, T=10, d=3, empty_prob=0.2))
+
+    def test_worst_case_families(self):
+        for delta in range(2, 5):
+            for reps in (1, 3):
+                self.check(worst_case_acov_instance(delta, reps))
+                self.check(worst_case_acov_instance(delta, reps, delta + 2))
+            self.check(worst_case_sc_instance(delta))
+
+    def test_empty_graphs(self):
+        self.check(build_graph(3, 5, []))
+        self.check(build_graph(3, 0, []))
 
 
 def rung_graph(seed, n=5, T=24, m=4, k=6):
