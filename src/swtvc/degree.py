@@ -3,7 +3,11 @@
 ``d_approx_solve`` solves each single-edge temporal subgraph exactly and
 takes the union (a d-approximation on always degree-at-most-d graphs).
 ``d_approx_s_solve`` is the engineered variant: the same solution computed
-by walking the appearance lists instead of every time step.
+by walking the appearance lists instead of every time step.  It makes one
+pass over each edge's sorted labels, hosting the edge's picks at the
+endpoint ``chosen_endpoint`` names, all edges in one call of the shared
+greedy ``_single_edge_picks``: O(n + m + picks * log k) for k labels per
+edge.  ``single_edge_exact`` is the same greedy on one checked label list.
 ``d1_approx_solve`` covers two-edge paths through their middle vertex, a
 heuristic with no proven bound.
 """
@@ -31,12 +35,19 @@ def single_edge_exact(appearances, T: int, delta: int):
     Greedy canonical form: walk demand windows left to right and, on the
     first uncovered one, take the largest appearance inside it.  Returns
     the chosen time steps in increasing order.  ``T`` must be an integer of
-    at least 0 and the labels integers in ``[1, T]``, in nondecreasing
-    order; any other ``T`` or label is an OutOfRangeLabelError naming it.
+    at least 0 and the labels an iterable of integers in ``[1, T]``, in
+    nondecreasing order; any other ``T``, label or label input is an
+    OutOfRangeLabelError naming it.
     """
     _check_int(T, "T", 0, OutOfRangeLabelError)
     _check_delta(T, delta)
-    apps = list(appearances)
+    try:
+        # apart from list(), so a TypeError raised inside a label
+        # generator is not reported as "not iterable"
+        labels = iter(appearances)
+    except TypeError:
+        raise OutOfRangeLabelError(f"labels {appearances!r} are not iterable") from None
+    apps = list(labels)
     before = 1
     for a in apps:
         if not _is_integer(a):
@@ -46,23 +57,31 @@ def single_edge_exact(appearances, T: int, delta: int):
         if a < before:
             raise OutOfRangeLabelError(f"label {a} is smaller than the label {before} before it")
         before = a
-    return _single_edge_picks(apps, T - delta + 1, delta)
+    return sorted(t for _, t in _single_edge_picks((apps,), (0,), T - delta + 1, delta))
 
 
-def _single_edge_picks(apps, last_start: int, delta: int) -> list:
-    """``single_edge_exact``'s greedy on a sorted label sequence, unchecked."""
-    chosen = []
-    last = 0
-    j = 0
-    while j < len(apps):
-        t = max(last + 1, apps[j] - delta + 1)
-        if t > last_start:
-            break
-        # the window's last appearance; j moves just past it
-        j = bisect_right(apps, t + delta - 1)
-        last = apps[j - 1]
-        chosen.append(last)
-    return chosen
+def _single_edge_picks(label_lists, hosts, last_start: int, delta: int) -> Cover:
+    """``single_edge_exact``'s greedy on each sorted label sequence, unchecked:
+    the set of ``(host, pick)`` appearances, each pick hosted by the
+    sequence's vertex in ``hosts``."""
+    cover = set()
+    for apps, host in zip(label_lists, hosts):
+        last = 0
+        j = 0
+        while j < len(apps):
+            t = apps[j] - delta + 1
+            if t <= last:
+                t = last + 1
+            if t > last_start:
+                break
+            # the window's last appearance, searched from j; j moves just
+            # past it
+            j = bisect_right(apps, t + delta - 1, j)
+            last = apps[j - 1]
+            # tuple.__new__, as Demand lists are built, skips the
+            # namedtuple's Python-level __new__
+            cover.add(tuple.__new__(VertexAppearance, (host, last)))
+    return cover
 
 
 def chosen_endpoint(g: TemporalGraph, eid: int) -> int:
@@ -101,15 +120,13 @@ def d_approx_solve(g: TemporalGraph, delta: int) -> Cover:
 
 def d_approx_s_solve(g: TemporalGraph, delta: int) -> Cover:
     """Same contract and same output set as ``d_approx_solve``; skips time
-    steps without an edge appearance by walking the appearance lists."""
+    steps without an edge appearance by walking the appearance lists, all
+    edges in one greedy call, each hosted by ``chosen_endpoint``'s rule."""
     _check_delta(g.T, delta)
-    last_start = g.T - delta + 1
-    cover = set()
-    for eid, edge in enumerate(g.edges):
-        v = chosen_endpoint(g, eid)
-        for t in _single_edge_picks(edge.appearances, last_start, delta):
-            cover.add(VertexAppearance(v, t))
-    return cover
+    degree = list(map(len, g.adjacency))
+    edges = g.edges
+    hosts = [v if degree[v] > degree[u] else u for u, v, _ in edges]
+    return _single_edge_picks([e[2] for e in edges], hosts, g.T - delta + 1, delta)
 
 
 def d1_approx_solve(g: TemporalGraph, delta: int) -> Cover:

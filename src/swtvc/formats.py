@@ -20,10 +20,15 @@ lists.  Syntax is checked before the graph, so a native file reports its
 first syntax error before any range error, wherever the two lie.
 
 Cover files hold one ``v t`` pair per line.
+
+Each file is read whole, after one size check: a file of more than
+``MAX_FILE_BYTES`` is a TooLargeError naming its path and size, raised
+before any byte is read or decoded.
 """
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 from .errors import (
@@ -31,8 +36,14 @@ from .errors import (
     EmptyInputError,
     NegativeTimestampError,
     ParseError,
+    TooLargeError,
 )
 from .graph import Cover, TemporalGraph, VertexAppearance, _check_int, build_graph
+
+#: Largest input file read, in bytes.  Decoding it to ``str`` and splitting
+#: it into lines take several times its size, so a larger file is refused
+#: before it is read.
+MAX_FILE_BYTES = 2**30
 
 
 def _split_lines(text: str) -> list:
@@ -43,9 +54,16 @@ def _split_lines(text: str) -> list:
 
 
 def _read_text(path) -> str:
-    """The text of ``path``; input that is not UTF-8 raises ``ParseError``
-    at the 1-based line of its first bad byte."""
-    data = Path(path).read_bytes()
+    """The text of ``path``; a file of more than ``MAX_FILE_BYTES`` raises
+    ``TooLargeError`` before it is read, and input that is not UTF-8 raises
+    ``ParseError`` at the 1-based line of its first bad byte.  A pipe or
+    other file with no size is read whole."""
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        if size > MAX_FILE_BYTES:
+            raise TooLargeError(
+                f"{path}: file of {size} bytes; at most {MAX_FILE_BYTES} are read")
+        data = f.read()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:

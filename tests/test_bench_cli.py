@@ -24,6 +24,7 @@ from swtvc import (
     write_native,
     write_cover,
 )
+from swtvc import formats
 from swtvc.bench import CSV_HEADER, compare_csv
 from swtvc.cli import cli_dispatch
 
@@ -358,6 +359,15 @@ class TestCli:
         assert cli_dispatch(["convert-snap", "--input", str(raw),
                              "--output", str(tmp_path / "conv.tg")]) == 2
         assert "line 2: bad timestamp 'inf'" in capsys.readouterr().err
+
+    def test_file_over_byte_limit_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(formats, "MAX_FILE_BYTES", 16)
+        big = tmp_path / "big.tg"
+        big.write_bytes(b"0 1\n2 3\n4 5\n6 7\n\xff")  # 17 bytes, the last not UTF-8
+        assert cli_dispatch(["validate", "--input", str(big), "--delta", "1",
+                             "--cover", str(big)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {big}: file of 17 bytes; at most 16 are read\n"
 
     @pytest.mark.parametrize("command", ["validate", "solve", "convert-snap"])
     def test_non_utf8_input_exits_2(self, tmp_path, capsys, periodic_worst_case,

@@ -70,6 +70,18 @@ class TestSingleEdgeExact:
         with pytest.raises(OutOfRangeLabelError, match=re.escape(named)):
             single_edge_exact(apps, 3, 1)
 
+    @pytest.mark.parametrize("labels", [5, None])
+    def test_labels_not_iterable_is_a_range_error(self, labels):
+        named = f"labels {labels} are not iterable"
+        with pytest.raises(OutOfRangeLabelError, match=re.escape(named)):
+            single_edge_exact(labels, 3, 1)
+
+    def test_checks_t_then_delta_then_labels(self):
+        with pytest.raises(OutOfRangeLabelError, match="T must be at least 0"):
+            single_edge_exact(5, -1, 0)
+        with pytest.raises(BadDeltaError):
+            single_edge_exact(5, 3, 0)
+
     def test_repeated_labels_accepted(self):
         assert single_edge_exact([1, 1], 1, 1) == [1]
         assert single_edge_exact([1, 2, 2, 3], 3, 1) == [1, 2, 3]
@@ -179,6 +191,87 @@ class TestSparseVariantEquivalence:
         T = 10 ** 6
         g = build_graph(2, T, [(0, 1, [1, T])])
         assert d_approx_s_solve(g, 2) == {(0, 1), (0, T)}
+
+
+def one_list_picks_reference(apps, last_start, delta):
+    """The single-edge greedy on one sorted label list, as ``d_approx_s_solve``
+    called it once per edge before all edges shared one call; frozen as the
+    oracle of ``TestDApproxSDifferential``."""
+    chosen = []
+    last = 0
+    j = 0
+    while j < len(apps):
+        t = max(last + 1, apps[j] - delta + 1)
+        if t > last_start:
+            break
+        j = bisect_right(apps, t + delta - 1)
+        last = apps[j - 1]
+        chosen.append(last)
+    return chosen
+
+
+def d_approx_s_reference(g, delta):
+    """``d_approx_s_solve`` as one greedy call per edge, hosted by
+    ``chosen_endpoint``; frozen as the oracle of ``TestDApproxSDifferential``."""
+    last_start = g.T - delta + 1
+    cover = set()
+    for eid, edge in enumerate(g.edges):
+        v = chosen_endpoint(g, eid)
+        for t in one_list_picks_reference(edge.appearances, last_start, delta):
+            cover.add(VertexAppearance(v, t))
+    return cover
+
+
+class TestDApproxSDifferential:
+    """The one-call greedy returns the set of the per-edge form, and hosts
+    every pick where ``chosen_endpoint`` does."""
+
+    REACHED = ("delta 1", "delta T", "single label", "tie", "v hosts")
+
+    def check(self, g, deltas, reached):
+        for delta in deltas:
+            assert d_approx_s_solve(g, delta) == d_approx_s_reference(g, delta)
+            reached["delta 1"] += delta == 1
+            reached["delta T"] += delta == g.T
+        reached["single label"] += any(len(e.appearances) == 1 for e in g.edges)
+        for eid, (u, v, _) in enumerate(g.edges):
+            reached["tie"] += len(g.adjacency[u]) == len(g.adjacency[v])
+            reached["v hosts"] += chosen_endpoint(g, eid) == v
+
+    def test_random_general_graphs(self):
+        rng = random.Random(11)
+        reached = dict.fromkeys(self.REACHED, 0)
+        for seed in range(300):
+            n, T = rng.randint(2, 9), rng.randint(1, 40)
+            g = random_general_graph(seed, n=n, T=T, max_edges=n * (n - 1) // 2,
+                                     app_prob=rng.choice((0.05, 0.2, 0.5)))
+            deltas = {d for d in (1, 2, 3, rng.randint(1, T), T) if d <= T}
+            self.check(g, deltas, reached)
+        assert all(reached.values()), reached
+
+    def test_generator_stars_extreme_degrees(self):
+        reached = dict.fromkeys(self.REACHED, 0)
+        for seed in range(20):
+            n = 3 + seed % 7
+            for d in (1, n - 1):
+                g = generate_always_star(GeneratorConfig(n=n, T=30, d=d, seed=seed))
+                self.check(g, (1, 2, 3, 1 + seed % 30, 30), reached)
+        assert all(reached.values()), reached
+
+    def test_worst_case_families(self):
+        reached = dict.fromkeys(self.REACHED, 0)
+        for delta in range(2, 6):
+            for reps in (1, 3):
+                for g in (worst_case_acov_instance(delta, reps),
+                          worst_case_acov_instance(delta, reps, 3 * delta)):
+                    self.check(g, range(1, g.T + 1), reached)
+            g = worst_case_sc_instance(delta)
+            self.check(g, range(1, g.T + 1), reached)
+        assert reached["delta 1"] and reached["delta T"], reached
+
+    def test_empty_graphs(self):
+        assert d_approx_s_solve(build_graph(3, 5, []), 2) == set()
+        assert d_approx_s_solve(build_graph(3, 0, []), 1) == set()
 
 
 class TestD1Approx:

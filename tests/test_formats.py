@@ -1,3 +1,7 @@
+import os
+import re
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +22,8 @@ from swtvc import (
     write_cover,
     write_native,
 )
+from swtvc import formats
+from swtvc.bench import compare_csv
 
 from conftest import random_general_graph, random_star_graph
 
@@ -112,6 +118,47 @@ class TestSizeLimit:
         with pytest.raises(TooLargeError):
             convert_snap(path, bucket_seconds=1)
         assert convert_snap(path, bucket_seconds=3600).T == 27778
+
+
+class TestFileSizeLimit:
+    READERS = {
+        "parse_native": parse_native,
+        "parse_cover": parse_cover,
+        "convert_snap": convert_snap,
+        "compare_csv": lambda path: compare_csv(path, "star-acov", "star-sc"),
+    }
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_refused_before_decoding(self, tmp_path, monkeypatch, reader):
+        monkeypatch.setattr(formats, "MAX_FILE_BYTES", 16)
+        path = tmp_path / "big"
+        path.write_bytes(b"0 1\n2 3\n4 5\n6 7\n\xff")  # 17 bytes, the last not UTF-8
+        named = f"{path}: file of 17 bytes; at most 16 are read"
+        with pytest.raises(TooLargeError, match=re.escape(named)):
+            self.READERS[reader](path)
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_at_the_limit_is_read(self, tmp_path, monkeypatch, reader):
+        monkeypatch.setattr(formats, "MAX_FILE_BYTES", 17)
+        path = tmp_path / "big"
+        path.write_bytes(b"0 1\n2 3\n4 5\n6 7\n\xff")
+        with pytest.raises(ParseError, match="line 5: input is not UTF-8 text"):
+            self.READERS[reader](path)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_pipe_with_no_size_is_read(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(formats, "MAX_FILE_BYTES", 1)
+        fifo = tmp_path / "cover.fifo"
+        os.mkfifo(fifo)
+
+        def feed():
+            with open(fifo, "w") as f:
+                f.write("0 1\n2 3\n")
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        assert parse_cover(fifo) == {(0, 1), (2, 3)}
+        writer.join(5)
 
 
 class TestConvertSnap:
