@@ -100,7 +100,9 @@ def build_graph(n: int, T: int, edge_list: Iterable) -> TemporalGraph:
     ids follow first-appearance order of the canonical pair in the input.
     ``appearance_list`` may be any iterable, read once.  Raises
     TooLargeError, before allocating anything, when ``n`` or ``T`` exceeds
-    ``MAX_SIZE``.  A vertex or label that is not an integer is an
+    ``MAX_SIZE``.  An edge list that is not iterable, or an element of it
+    that is not a ``(u, v, labels)`` triple, is an OutOfRangeVertexError
+    naming it.  A vertex or label that is not an integer is an
     OutOfRangeVertexError or OutOfRangeLabelError naming it, a label list
     that is not iterable is an OutOfRangeLabelError naming its edge, and so
     is an ``n`` or ``T`` that is not an integer, naming both.
@@ -114,7 +116,16 @@ def build_graph(n: int, T: int, edge_list: Iterable) -> TemporalGraph:
     # compared (a string, say) or used as an index (a float); each such
     # TypeError becomes the range error, so valid input pays no extra check.
     merged: dict = {}  # canonical pair -> label set; insertion order is edge id order
-    for u, v, labels in edge_list:
+    try:
+        edge_list = iter(edge_list)
+    except TypeError:
+        raise OutOfRangeVertexError(f"edge list {edge_list!r} is not iterable") from None
+    for edge in edge_list:
+        try:
+            u, v, labels = edge
+        except (TypeError, ValueError):
+            raise OutOfRangeVertexError(
+                f"edge {edge!r} is not a (u, v, labels) triple") from None
         if u == v:
             raise SelfLoopError(f"self-loop on vertex {u}")
         try:
@@ -308,11 +319,11 @@ def validate_cover(g: TemporalGraph, delta: int, cover: Cover) -> Optional[Deman
     Failures are reported in (window_start, edge id) order: the witness is
     the same ``demands(g, delta)`` entry a scan of that list would stop at.
 
-    A cover element that is not a pair, or whose vertex is not a number,
-    is an OutOfRangeVertexError naming it; a time that is not a number is
-    an OutOfRangeLabelError naming it.  A float inside the ranges, such as
-    ``(0, 1.5)``, is accepted: it covers what an equal integer would, so
-    ``1.5`` covers nothing.
+    A cover that is not iterable, or an element of it that is not a pair
+    or whose vertex is not a number, is an OutOfRangeVertexError naming
+    it; a time that is not a number is an OutOfRangeLabelError naming it.
+    A float inside the ranges, such as ``(0, 1.5)``, is accepted: it
+    covers what an equal integer would, so ``1.5`` covers nothing.
 
     Runs in O(appearances + |cover|) time with one dict lookup per
     appearance.  Each edge's sorted appearances are swept once.  An
@@ -324,6 +335,10 @@ def validate_cover(g: TemporalGraph, delta: int, cover: Cover) -> Optional[Deman
     """
     _check_delta(g.T, delta)
     at: dict = {}  # time step -> cover vertices at that step
+    try:
+        cover = iter(cover)
+    except TypeError:
+        raise OutOfRangeVertexError(f"cover {cover!r} is not iterable") from None
     for va in cover:
         # a malformed element fails as a TypeError or ValueError in the
         # unpack or a comparison; only then is it named, as in build_graph

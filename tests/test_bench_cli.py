@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import os
 import subprocess
 import sys
@@ -176,6 +177,14 @@ def test_compare_csv_accepts_or_raises_tvc_error_on_any_bytes(tmp_path_factory, 
         pass
 
 
+def run_entry_point(argv, cwd, **env):
+    """``python -m swtvc.cli argv`` in ``cwd``, as a shell runs it."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return subprocess.run([sys.executable, "-m", "swtvc.cli", *argv], cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=src, **env),
+                          capture_output=True, timeout=60)
+
+
 class TestCli:
     def test_generate_solve_validate_round(self, tmp_path):
         tg = tmp_path / "inst.tg"
@@ -307,17 +316,31 @@ class TestCli:
         # LC_ALL defeats the C-locale coercion and PYTHONUTF8=0 the UTF-8
         # mode, so argv arrives surrogate-escaped and the locale is ASCII
         write_native(random_star_graph(0, n=12, T=12, d=3), tmp_path / "é.tg")
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONUTF8="0", LC_ALL="C", PYTHONPATH=src)
         for argv in (["bench", "--inputs", "é.tg", "--algos", "star-sc", "star-acov",
                       "--delta", "2", "--output", "b.csv"],
                      ["compare", "--csv", "b.csv", "--algo-a", "star-acov",
                       "--algo-b", "star-sc"]):
-            result = subprocess.run([sys.executable, "-m", "swtvc.cli", *argv],
-                                    cwd=tmp_path, env=env, capture_output=True,
-                                    timeout=60)
+            result = run_entry_point(argv, tmp_path, PYTHONUTF8="0", LC_ALL="C")
             assert result.returncode == 0, result.stderr
         assert "é.tg,star-sc," in (tmp_path / "b.csv").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("argv, code, stream, last_line", [
+        (["solve", "--algo", "star-acov", "--delta", "3", "--input", "g.tg",
+          "--output", "g.cov", "--validate"], 0, "stdout", "valid"),
+        (["validate", "--input", "g.tg", "--delta", "3", "--cover", "empty.cov"],
+         1, "stdout", "INVALID: uncovered demand"),
+        (["solve", "--algo", "star-acov", "--delta", "1", "--input", "huge.tg"],
+         2, "stderr", "error: "),
+    ], ids=["valid", "invalid-cover", "huge-header"])
+    def test_entry_point_exit_codes(self, tmp_path, argv, code, stream, last_line):
+        write_native(random_star_graph(0, n=12, T=12, d=3), tmp_path / "g.tg")
+        (tmp_path / "empty.cov").write_bytes(b"")
+        (tmp_path / "huge.tg").write_text("1000000000000 0 1\n")
+        result = run_entry_point(argv, tmp_path)
+        assert result.returncode == code, result.stderr
+        assert getattr(result, stream).decode().splitlines()[-1].startswith(last_line)
+        assert b"--help" not in result.stderr
+        assert b"Traceback" not in result.stderr
 
     def test_compare_without_bench_columns_exits_2(self, tmp_path, capsys):
         out = tmp_path / "other.csv"
@@ -387,3 +410,54 @@ class TestCli:
         err = capsys.readouterr().err
         assert "error: line 2: input is not UTF-8 text" in err
         assert "Traceback" not in err
+
+
+# sha256 of the instance ``generate --family random-star --n 300 --t 40 --d 299
+# --seed 2`` writes: with d = n - 1, a step may exclude every vertex
+PINNED_INSTANCE = "0e6e9b72e57fac01ca2219164c8be432b8aac0d1f0f9d5f2dc5ec7bd9a0a4eff"
+
+# (algo, delta, sha256 of the cover file ``solve`` writes on that instance)
+PINNED_COVERS = [
+    ("star-sc", 5, "d578a7d59c606867edabe203bd8a2a94a455c5cd04c7fd654fc5ac5552f31af6"),
+    ("star-acov", 3, "c7df8ae41edad0b8b0e1462e3e5fb2d25a27efb8b5c5bea2493187da16995f45"),
+    ("star-acov", 5, "c815ba87c50330e11482fb3a19fe2355b580cf5fe1644a308525f2013ecae439"),
+    # at delta 1 every appearance is its own pick; delta 40 = T is one window
+    ("d-approx-s", 1, "d12fbe4092061ddbaaac24736027a62bbf63a57ae02a2251f3641a28d6fcf7ab"),
+    ("d-approx-s", 5, "f849cab776b9f0eac6b18fe83a7815e7a67d331bd9c5303f00bf4a004bedc0cc"),
+    ("d-approx-s", 12, "6d094400128e8fe6ab30bd2d5b101e26d70071f8cd4d899be189077983bc15f7"),
+    ("d-approx-s", 40, "2ff800c6ae552bce9368218a00ed40cdd3bb342abd1dccb44db9e912c23b722c"),
+    ("d-1-approx", 1, "d578a7d59c606867edabe203bd8a2a94a455c5cd04c7fd654fc5ac5552f31af6"),
+    ("d-1-approx", 5, "c815ba87c50330e11482fb3a19fe2355b580cf5fe1644a308525f2013ecae439"),
+    # a window half the lifetime: most demand buckets hold many edges
+    ("d-1-approx", 20, "c2a0405a6ad30f9db3ec245eee90d00ba04a5b814e8af12dbd13917a717ac476"),
+    ("d-1-approx", 40, "dbb7eae90bf297bcc098d3e08d4ec36aa30db08e39f1af13673cc337ba3eb407"),
+]
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestPinnedCliOutputs:
+    """The generator's instance and the solvers' covers on it, byte for
+    byte, so an output that changes on any supported Python fails here."""
+
+    @pytest.fixture(scope="class")
+    def instance(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("pinned") / "dense.tg"
+        assert cli_dispatch(["generate", "--family", "random-star", "--n", "300",
+                             "--t", "40", "--d", "299", "--seed", "2",
+                             "--output", str(path)]) == 0
+        return path
+
+    def test_instance(self, instance):
+        assert sha256(instance) == PINNED_INSTANCE
+
+    @pytest.mark.parametrize("algo, delta, digest", PINNED_COVERS,
+                             ids=[f"{algo}-{delta}" for algo, delta, _ in PINNED_COVERS])
+    def test_cover(self, instance, tmp_path, algo, delta, digest):
+        cover = tmp_path / "dense.cov"
+        assert cli_dispatch(["solve", "--algo", algo, "--delta", str(delta),
+                             "--input", str(instance), "--output", str(cover),
+                             "--validate"]) == 0
+        assert sha256(cover) == digest

@@ -90,6 +90,22 @@ class TestBuildGraph:
                            match=re.escape(f"labels {labels!r} on edge (0, 1) are not iterable")):
             build_graph(2, 3, [(0, 1, labels)])
 
+    @pytest.mark.parametrize("edge_list, message", [
+        ([(0, 1)], "edge (0, 1) is not a (u, v, labels) triple"),
+        ([(0, 1, [1], 9)], "edge (0, 1, [1], 9) is not a (u, v, labels) triple"),
+        (None, "edge list None is not iterable"),
+    ])
+    def test_malformed_edge_list_is_a_vertex_error_naming_it(self, edge_list, message):
+        with pytest.raises(OutOfRangeVertexError, match=re.escape(message)):
+            build_graph(3, 3, edge_list)
+
+    def test_malformed_edge_raised_in_input_order(self):
+        # the label error of the first edge wins over the short second edge
+        with pytest.raises(OutOfRangeLabelError):
+            build_graph(3, 3, [(0, 1, [9]), (1, 2)])
+        with pytest.raises(OutOfRangeVertexError, match="not a"):
+            build_graph(3, 3, [(0, 1), (1, 2, [9])])
+
     def test_size_limit(self):
         with pytest.raises(TooLargeError):
             build_graph(MAX_SIZE + 1, 1, [])
@@ -513,6 +529,13 @@ class TestValidateCover:
                                                           element):
         with pytest.raises(OutOfRangeVertexError, match=re.escape(repr(element))):
             validate_cover(example_graph, 2, [element])
+
+    @pytest.mark.parametrize("cover", [None, 5])
+    def test_non_iterable_cover_is_a_vertex_error_naming_it(self, example_graph,
+                                                           cover):
+        with pytest.raises(OutOfRangeVertexError,
+                           match=re.escape(f"cover {cover!r} is not iterable")):
+            validate_cover(example_graph, 2, cover)
 
     @pytest.mark.parametrize("element", [(0, "a"), (0, None), (0, [1])])
     def test_non_integer_time_is_a_label_error_naming_it(self, example_graph,
