@@ -25,7 +25,6 @@ from .graph import (
     _check_int,
     _demand_buckets,
     _is_integer,
-    _window_starts,
 )
 
 
@@ -141,9 +140,18 @@ def d1_approx_solve(g: TemporalGraph, delta: int) -> Cover:
     rule.  The greedy never looks back, so an early pairing pick can end up
     subsumed by later picks; that slack is what the windowed star solver
     exploits on dense instances.
+
+    The start order gives the ledger an invariant: a pick made while
+    handling start t lies in [t, t+delta-1], so while start t is handled
+    every demand start of an edge before t is in its set, and its starts
+    from t on that are in the set run without a gap up to its latest
+    covering pick.  So the starts around a step tp are all covered exactly
+    when ``top = min(tp, T-delta+1)`` is: each ledger question, a demand's,
+    a partner probe's or a settle's, is one set lookup, and a settle adds
+    only ``range(t, top + 1)`` in one C-level ``set.update`` per edge.
     """
     _check_delta(g.T, delta)
-    T = g.T
+    last_start = g.T - delta + 1
     edges, index = g.edges, g.time_index
     # every start around an appearance of an edge is a demand of that edge
     done = [set() for _ in edges]  # eid -> covered window starts
@@ -161,13 +169,13 @@ def d1_approx_solve(g: TemporalGraph, delta: int) -> Cover:
             # the snapshot lists edge ids in increasing order
             picked = None
             for tp in reversed(in_window):
-                starts = _window_starts(tp, T, delta)
+                top = min(tp, last_start)
                 for fid in index[tp]:
-                    f = edges[fid]
-                    if (fid != eid and (f.u in ends or f.v in ends)
-                            and not done[fid].issuperset(starts)):
-                        picked = (f.u if f.u in ends else f.v, tp)
-                        break
+                    if fid != eid and top not in done[fid]:
+                        fu, fv, _ = edges[fid]
+                        if fu in ends or fv in ends:
+                            picked = (fu if fu in ends else fv, tp)
+                            break
                 if picked:
                     break
             if picked is None:
@@ -175,8 +183,11 @@ def d1_approx_solve(g: TemporalGraph, delta: int) -> Cover:
 
             cover.add(VertexAppearance(*picked))
             v, tp = picked
-            starts = _window_starts(tp, T, delta)
+            top = min(tp, last_start)
+            # tp <= t+delta-1, so the starts of tp before t are all covered
+            starts = range(t, top + 1)
             for fid in index[tp]:
-                if v in (edges[fid].u, edges[fid].v):
+                fu, fv, _ = edges[fid]
+                if (fu == v or fv == v) and top not in done[fid]:
                     done[fid].update(starts)
     return cover

@@ -258,11 +258,6 @@ def _check_delta(T: int, delta: int) -> None:
         raise BadDeltaError(f"delta {delta} outside [1, {T}]")
 
 
-def _window_starts(t: int, T: int, delta: int) -> range:
-    """Start steps of the delta-windows that contain time step ``t``."""
-    return range(max(1, t - delta + 1), min(t, T - delta + 1) + 1)
-
-
 def _demand_buckets(g: TemporalGraph, delta: int) -> list:
     """Edge ids with a demand at each window start, increasing per start.
 

@@ -378,8 +378,8 @@ def adjacency_d1(g, delta):
 class TestD1ApproxDifferential:
     """d-1-approx returns the same set as the adjacency-scan reference."""
 
-    def check(self, g):
-        for delta in range(1, max(g.T, 1) + 1):
+    def check(self, g, deltas=None):
+        for delta in deltas or range(1, max(g.T, 1) + 1):
             assert d1_approx_solve(g, delta) == adjacency_d1(g, delta)
 
     def test_random_general_graphs(self):
@@ -400,6 +400,25 @@ class TestD1ApproxDifferential:
     def test_empty_graphs(self):
         self.check(build_graph(3, 5, []))
         self.check(build_graph(3, 0, []))
+
+    def test_long_window_stars(self):
+        # settles clipped at the current start over long windows, and picks
+        # past T - delta + 1 with delta much larger than d
+        for seed in range(3):
+            g = generate_always_star(GeneratorConfig(n=40, T=90, d=8, seed=seed))
+            self.check(g, (1, 2, 3, 17, 64, 90))
+
+    def test_bursty_sparse_graphs(self):
+        # each present pair has 1-5 labels within 6 steps of a random start
+        for seed in range(3):
+            rng = random.Random(seed)
+            edge_list = []
+            for u, v in combinations(range(12), 2):
+                if rng.random() < 0.3:
+                    start = rng.randint(1, 395)
+                    labels = rng.sample(range(start, start + 6), rng.randint(1, 5))
+                    edge_list.append((u, v, sorted(labels)))
+            self.check(build_graph(12, 400, edge_list), (1, 5, 24, 100, 400))
 
 
 class TestAllSolversValid:

@@ -27,7 +27,6 @@ from swtvc import (
 
 from swtvc import exact
 from swtvc.exact import _coverage
-from swtvc.graph import _window_starts
 
 from conftest import random_general_graph, random_star_graph
 
@@ -165,7 +164,7 @@ def reference_coverage(g, delta):
         for eid in g.time_index[t]:
             e = g.edges[eid]
             if v == e.u or v == e.v:
-                for w in _window_starts(t, g.T, delta):
+                for w in range(max(1, t - delta + 1), min(t, g.T - delta + 1) + 1):
                     hit.add(index[(eid, w)])
         covered.append(frozenset(hit))
     return ds, cands, covered
