@@ -65,20 +65,30 @@ class BenchRecord:
                 self.repetitions]
 
 
+def _check_sample(s: float) -> None:
+    """NonPositiveSampleError naming ``s`` unless it is a finite number
+    above 0; NaN fails both comparisons, and a value that is not a number
+    fails them as a TypeError."""
+    try:
+        if 0 < s < math.inf:
+            return
+    except TypeError:
+        pass
+    raise NonPositiveSampleError(f"sample {s!r} is not a finite number above 0")
+
+
 def geometric_mean(samples: Sequence[float]) -> float:
     if not samples:
         raise EmptyInputError("geometric mean of an empty sample set")
-    if any(s <= 0 for s in samples):
-        raise NonPositiveSampleError(f"non-positive sample in {samples}")
+    for s in samples:
+        _check_sample(s)
     return math.exp(sum(math.log(s) for s in samples) / len(samples))
 
 
 def improvement(sigma_a: float, sigma_b: float) -> float:
     """Percent improvement of algorithm A over baseline B: (B/A - 1) * 100."""
-    if sigma_a <= 0 or sigma_b <= 0:
-        raise NonPositiveSampleError(
-            f"objectives must be positive, got {sigma_a}, {sigma_b}"
-        )
+    _check_sample(sigma_a)
+    _check_sample(sigma_b)
     return (sigma_b / sigma_a - 1.0) * 100.0
 
 

@@ -16,14 +16,13 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 
-from .errors import OutOfRangeLabelError
+from .errors import OutOfRangeLabelError, OutOfRangeVertexError
 from .graph import (
     Cover,
     TemporalGraph,
     VertexAppearance,
     _check_delta,
     _check_int,
-    _demand_buckets,
     _is_integer,
 )
 
@@ -85,8 +84,20 @@ def _single_edge_picks(label_lists, hosts, last_start: int, delta: int) -> Cover
 
 def chosen_endpoint(g: TemporalGraph, eid: int) -> int:
     """Endpoint hosting a single-edge cover: larger degree, ties to ``u``,
-    the smaller vertex id.  Shared endpoints shrink the union."""
-    u, v, _ = g.edges[eid]
+    the smaller vertex id.  Shared endpoints shrink the union.
+
+    An edge id outside ``[0, m)`` or not an integer is an
+    OutOfRangeVertexError naming it.
+    """
+    edges = g.edges
+    # an id that is not an integer fails as a TypeError in the comparison
+    # or the index; only then is it named, so a valid id pays nothing
+    try:
+        if not (0 <= eid < len(edges)):
+            raise OutOfRangeVertexError(f"edge id {eid} outside [0, {len(edges)})")
+        u, v, _ = edges[eid]
+    except TypeError:
+        raise OutOfRangeVertexError(f"edge id {eid!r} is not an integer") from None
     return v if len(g.adjacency[v]) > len(g.adjacency[u]) else u
 
 
@@ -141,30 +152,53 @@ def d1_approx_solve(g: TemporalGraph, delta: int) -> Cover:
     subsumed by later picks; that slack is what the windowed star solver
     exploits on dense instances.
 
-    The start order gives the ledger an invariant: a pick made while
-    handling start t lies in [t, t+delta-1], so while start t is handled
-    every demand start of an edge before t is in its set, and its starts
-    from t on that are in the set run without a gap up to its latest
-    covering pick.  So the starts around a step tp are all covered exactly
-    when ``top = min(tp, T-delta+1)`` is: each ledger question, a demand's,
-    a partner probe's or a settle's, is one set lookup, and a settle adds
+    The start order gives the ledger, one set of covered starts per edge,
+    an invariant: a pick made while handling start t lies in
+    [t, t+delta-1], so while start t is handled every demand start of an
+    edge before t is in its set, and its starts from t on that are in the
+    set run without a gap up to its latest covering pick.  So the starts
+    around a step tp are all covered exactly when
+    ``top = min(tp, T-delta+1)`` is: each ledger question, a demand's, a
+    partner probe's or a settle's, is one set lookup, and a settle adds
     only ``range(t, top + 1)`` in one C-level ``set.update`` per edge.
+
+    The open demands are found with a bucket queue, ``wait``, one list of
+    edge ids per window start.  An edge waits first at its first demand
+    start, and again one past each run of starts a settle adds to its set,
+    so every edge with an uncovered demand at t waits at t.  At start t the
+    list is sorted in place, so edges are taken in increasing id order, an
+    edge already covered at t is skipped, and an edge with no appearance in
+    the window moves on to its next demand start.  Nothing joins
+    ``wait[t]`` while t is handled.  The work per start is one sort of the
+    edges waiting there and two bisections per edge not yet covered; a
+    covered demand is never visited on its own.
     """
     _check_delta(g.T, delta)
     last_start = g.T - delta + 1
     edges, index = g.edges, g.time_index
-    # every start around an appearance of an edge is a demand of that edge
     done = [set() for _ in edges]  # eid -> covered window starts
+    wait = [[] for _ in range(last_start + 1)]  # start -> waiting edge ids
+    for eid, (_, _, apps) in enumerate(edges):
+        wait[max(1, apps[0] - delta + 1)].append(eid)
 
     cover = set()
-    for t, eids in enumerate(_demand_buckets(g, delta)):
+    for t in range(1, last_start + 1):
+        eids = wait[t]
+        eids.sort()
         for eid in eids:
             if t in done[eid]:
                 continue
             edge = edges[eid]
-            ends = (edge.u, edge.v)
             apps = edge.appearances
-            in_window = apps[bisect_left(apps, t):bisect_right(apps, t + delta - 1)]
+            lo = bisect_left(apps, t)
+            hi = bisect_right(apps, t + delta - 1, lo)
+            if lo == hi:
+                # no demand at t: wait at the edge's next demand start
+                if lo < len(apps):
+                    wait[apps[lo] - delta + 1].append(eid)
+                continue
+            ends = (edge.u, edge.v)
+            in_window = apps[lo:hi]
 
             # the snapshot lists edge ids in increasing order
             picked = None
@@ -190,4 +224,6 @@ def d1_approx_solve(g: TemporalGraph, delta: int) -> Cover:
                 fu, fv, _ = edges[fid]
                 if (fu == v or fv == v) and top not in done[fid]:
                     done[fid].update(starts)
+                    if top < last_start:
+                        wait[top + 1].append(fid)
     return cover

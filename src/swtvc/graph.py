@@ -273,7 +273,8 @@ def _demand_buckets(g: TemporalGraph, delta: int) -> list:
     appearance, a C-level sorted insert or delete when an edge enters or
     leaves, and one C-level copy per start, where the per-edge form made
     one Python-level append per demand.  ``delta`` must already have passed
-    ``_check_delta``.
+    ``_check_delta``.  Its callers are ``demands`` and
+    ``exact._coverage``.
     """
     index = g.time_index
     inside = [0] * len(g.edges)

@@ -11,7 +11,9 @@ from swtvc import (
     BadDeltaError,
     GeneratorConfig,
     OutOfRangeLabelError,
+    OutOfRangeVertexError,
     build_graph,
+    chosen_endpoint,
     convert_snap,
     edges_at,
     exact_solve,
@@ -80,6 +82,8 @@ CASES = [
      OutOfRangeLabelError, ()),
     ("star_center_at.t", lambda v, p: star_center_at(G, v), OutOfRangeLabelError, 0,
      OutOfRangeLabelError, ()),
+    ("chosen_endpoint.eid", lambda v, p: chosen_endpoint(G, v), OutOfRangeVertexError, -1,
+     OutOfRangeVertexError, ()),
 ]
 
 
@@ -100,3 +104,8 @@ def test_not_an_integer(call, error, value, tmp_path):
 def test_below_the_minimum(call, below, error, tmp_path):
     with pytest.raises(error, match=re.escape(repr(below))):
         call(below, tmp_path / "contacts.txt")
+
+
+def test_chosen_endpoint_past_the_last_edge():
+    with pytest.raises(OutOfRangeVertexError, match=re.escape(f"edge id {G.m} outside")):
+        chosen_endpoint(G, G.m)

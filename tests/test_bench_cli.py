@@ -1,6 +1,8 @@
 import csv
 import hashlib
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -43,6 +45,9 @@ class TestMetrics:
             geometric_mean([])
         with pytest.raises(NonPositiveSampleError):
             geometric_mean([1.0, 0.0])
+        for bad in (math.nan, math.inf, -math.inf, "2", None):
+            with pytest.raises(NonPositiveSampleError, match=re.escape(repr(bad))):
+                geometric_mean([bad, 1.0])
 
     def test_improvement(self):
         assert improvement(100, 150) == pytest.approx(50.0)
@@ -52,6 +57,11 @@ class TestMetrics:
     def test_improvement_errors(self):
         with pytest.raises(NonPositiveSampleError):
             improvement(0, 10)
+        for bad in (math.nan, math.inf, -math.inf, "2", None):
+            with pytest.raises(NonPositiveSampleError, match=re.escape(repr(bad))):
+                improvement(bad, 1.0)
+            with pytest.raises(NonPositiveSampleError, match=re.escape(repr(bad))):
+                improvement(1.0, bad)
 
 
 class TestRunBenchmark:

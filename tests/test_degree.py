@@ -420,6 +420,18 @@ class TestD1ApproxDifferential:
                     edge_list.append((u, v, sorted(labels)))
             self.check(build_graph(12, 400, edge_list), (1, 5, 24, 100, 400))
 
+    def test_star_wide_window_shape(self):
+        # the full-size star-wide-window benchmark shape: delta >> d
+        for seed in (7, 8):
+            g = generate_always_star(GeneratorConfig(n=1000, T=200, d=20, seed=seed))
+            self.check(g, (64,))
+
+    def test_star_dense_narrow_shape(self):
+        # the full-size star-dense-narrow benchmark shape: d >> delta
+        for seed in (7, 8):
+            g = generate_always_star(GeneratorConfig(n=400, T=300, d=60, seed=seed))
+            self.check(g, (3,))
+
 
 class TestAllSolversValid:
     def test_on_random_corpus(self):
