@@ -13,6 +13,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from .degree import d1_approx_solve, d_approx_s_solve, d_approx_solve
 from .errors import (
     BadConfigError,
+    BadDeltaError,
     EmptyInputError,
     NonPositiveSampleError,
     NotAStarError,
@@ -104,10 +105,13 @@ def run_benchmark(
     Cells fail independently: a solver that raises NotAStarError (the star
     algorithms on a non-star input) is recorded as skipped, any other
     TvcError as ``error:<Name>``, and the batch goes on.  The caller writes
-    the records out, e.g. with ``write_csv``.  Raises BadConfigError when
-    ``repetitions`` is not an integer of at least 1 or an algorithm is not
-    in ``ALGORITHMS``.
+    the records out, e.g. with ``write_csv``.  Before any cell runs, raises
+    BadDeltaError when ``delta`` is not an integer of at least 1 (a Δ above
+    one instance's T stays that instance's ``error:BadDeltaError`` rows),
+    and BadConfigError when ``repetitions`` is not an integer of at least 1
+    or an algorithm is not in ``ALGORITHMS``.
     """
+    _check_int(delta, "delta", 1, BadDeltaError)
     _check_int(repetitions, "repetitions", 1)
     unknown = [a for a in algorithms if a not in ALGORITHMS]
     if unknown:

@@ -4,10 +4,10 @@
 enumerates candidate subsets by increasing size and cross-checks the
 oracle.  Candidate appearances are restricted to (v, t) where v has an
 active edge at t; anything else covers nothing.  Both keep sets of
-demands as integer bitmasks, numbered fail-first: by how many candidates
-cover a demand, fewest first, ties in ``demands()`` order.  So the
-demand ``exact_solve`` branches on, the open one with the fewest covering
-candidates, is the lowest open bit.
+demands as integer bitmasks, numbered fail-first: a stable sort of
+``demands()`` by how many candidates cover each demand, fewest first.  So
+the demand ``exact_solve`` branches on, the open one with the fewest
+covering candidates, ties in ``demands()`` order, is the lowest open bit.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .graph import (
     VertexAppearance,
     _check_delta,
     _check_int,
-    _demand_buckets,
+    demands,
 )
 
 # Node budget of ``exact_solve`` when the caller gives none.
@@ -38,26 +38,29 @@ _REPLAY_ENTRY_BYTES = 200
 _BRUTE_FORCE_CANDIDATES = 24
 
 
-def _coverage(g: TemporalGraph, delta: int):
+def _candidates(g: TemporalGraph) -> list:
     """The sorted candidates (v, t) where v is an endpoint of an edge active
-    at t, per candidate the bitmask of demands it covers, and per demand
-    its covering candidates in candidate order.
+    at t."""
+    return sorted({(x, a) for u, v, apps in g.edges for x in (u, v) for a in apps})
 
-    Demands are numbered fail-first: a stable sort of the (start, edge)
-    walk over ``_demand_buckets``, which is ``demands()`` order, by the
+
+def _coverage(g: TemporalGraph, delta: int):
+    """The ``_candidates``, per candidate the bitmask of demands it covers,
+    and per demand its covering candidates in candidate order.
+
+    Demands are numbered fail-first: a stable sort of ``demands()`` by the
     number of covering candidates.  The search's branch order, and with it
     which optimum comes back, depends on that numbering.  An edge u < v
     active inside the window is covered by u at each of those appearances,
     then by v at each, which is candidate order.
     """
-    cands = sorted({(x, a) for u, v, apps in g.edges for x in (u, v) for a in apps})
+    cands = _candidates(g)
     index = {c: ci for ci, c in enumerate(cands)}
     by_demand = []
-    for w, bucket in enumerate(_demand_buckets(g, delta)):
-        for eid in bucket:
-            u, v, apps = g.edges[eid]
-            span = apps[bisect_left(apps, w):bisect_left(apps, w + delta)]
-            by_demand.append([index[(x, a)] for x in (u, v) for a in span])
+    for eid, w in demands(g, delta):
+        u, v, apps = g.edges[eid]
+        span = apps[bisect_left(apps, w):bisect_left(apps, w + delta)]
+        by_demand.append([index[(x, a)] for x in (u, v) for a in span])
     by_demand.sort(key=len)
     masks = [0] * len(cands)
     for di, cis in enumerate(by_demand):
@@ -155,16 +158,16 @@ def brute_force_solve(g: TemporalGraph, delta: int) -> Cover:
     """Exhaustive minimum cover by subset enumeration in increasing size.
 
     Raises TooLargeError past ``_BRUTE_FORCE_CANDIDATES`` (24) candidate
-    appearances.
+    appearances, checked before any demand is listed.  A graph without
+    edges has neither candidates nor demands, and its cover is the empty
+    subset.
     """
     _check_delta(g.T, delta)
-    cands, masks, by_demand = _coverage(g, delta)
-    if not by_demand:
-        return set()
+    cands = _candidates(g)
     if len(cands) > _BRUTE_FORCE_CANDIDATES:
-        raise TooLargeError(
-            f"{len(cands)} candidate appearances exceed limit {_BRUTE_FORCE_CANDIDATES}"
-        )
+        raise TooLargeError(f"{len(cands)} candidate appearances exceed "
+                            f"limit {_BRUTE_FORCE_CANDIDATES}")
+    _, masks, by_demand = _coverage(g, delta)
     full = (1 << len(by_demand)) - 1
     for size in range(len(cands) + 1):
         for combo in combinations(range(len(cands)), size):

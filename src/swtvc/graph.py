@@ -163,7 +163,7 @@ def build_graph(n: int, T: int, edge_list: Iterable) -> TemporalGraph:
             adjacency[key[1]].append(eid)
     except TypeError:
         # t is the label that failed, or the edge's last one if an endpoint did
-        if not hasattr(t, "__index__"):
+        if not _is_integer(t):
             raise OutOfRangeLabelError(f"label {t!r} on edge {key} is not an integer") from None
         raise OutOfRangeVertexError(f"endpoint not an integer in {key!r}") from None
 
@@ -258,28 +258,24 @@ def _check_delta(T: int, delta: int) -> None:
         raise BadDeltaError(f"delta {delta} outside [1, {T}]")
 
 
-def _demand_buckets(g: TemporalGraph, delta: int) -> list:
-    """Edge ids with a demand at each window start, increasing per start.
+def demands(g: TemporalGraph, delta: int) -> list:
+    """All (edge, window) demands, sorted by (window_start, edge id).
 
-    ``buckets[w]`` (w in 1..T-delta+1) lists the edges that appear inside
-    the window starting at ``w``; index 0 is empty, and with ``T`` 0 and
-    ``delta`` 2 or more the list itself is.  One sweep t = 1..T over
-    ``time_index`` keeps ``inside[eid]``, the edge's appearances in the
-    window ending at t, and ``live``, the sorted ids of the edges with a
-    positive count: an edge is inserted when its count leaves 0 and
-    removed when it returns to 0.  Once the window starting at
-    w = t-delta+1 is complete, ``buckets[w]`` is a fresh copy of ``live``
-    and the edges of step w leave.  That is O(1) Python-level work per
-    appearance, a C-level sorted insert or delete when an edge enters or
-    leaves, and one C-level copy per start, where the per-edge form made
-    one Python-level append per demand.  ``delta`` must already have passed
-    ``_check_delta``.  Its callers are ``demands`` and
-    ``exact._coverage``.
+    One sweep t = 1..T over ``time_index`` keeps ``inside[eid]``, the
+    edge's appearances in the window ending at t, and ``live``, the sorted
+    ids of the edges with a positive count: an edge is inserted when its
+    count leaves 0 and removed when it returns to 0.  Once the window
+    starting at w = t-delta+1 is complete, a copy of ``live`` is its
+    bucket and the edges of step w leave.  That is O(1) Python-level work
+    per appearance, a C-level sorted insert or delete when an edge enters
+    or leaves, and one C-level copy per start; the buckets are then
+    flattened into ``Demand``s in C-level loops.
     """
+    _check_delta(g.T, delta)
     index = g.time_index
     inside = [0] * len(g.edges)
     live = []
-    buckets = [[]] if g.T >= delta - 1 else []
+    buckets = []  # buckets[w - 1]: the edges with a demand at start w
     for t in range(1, g.T + 1):
         for eid in index[t]:
             if not inside[eid]:
@@ -292,17 +288,10 @@ def _demand_buckets(g: TemporalGraph, delta: int) -> list:
                 inside[eid] -= 1
                 if not inside[eid]:
                     del live[bisect_left(live, eid)]
-    return buckets
-
-
-def demands(g: TemporalGraph, delta: int) -> list:
-    """All (edge, window) demands, sorted by (window_start, edge id)."""
-    _check_delta(g.T, delta)
-    buckets = _demand_buckets(g, delta)
-    # C-level loops throughout: each start repeated once per edge in its
-    # bucket, and each Demand made by tuple.__new__ (as Demand._make does)
-    # rather than through the namedtuple's Python-level __new__
-    starts = chain.from_iterable(map(repeat, range(len(buckets)), map(len, buckets)))
+    # each start repeated once per edge in its bucket, and each Demand made
+    # by tuple.__new__ (as Demand._make does) rather than through the
+    # namedtuple's Python-level __new__
+    starts = chain.from_iterable(map(repeat, range(1, len(buckets) + 1), map(len, buckets)))
     return list(map(tuple.__new__, repeat(Demand),
                     zip(chain.from_iterable(buckets), starts)))
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from swtvc import (
     ALGORITHMS,
     BadConfigError,
+    BadDeltaError,
     EmptyInputError,
     NonPositiveSampleError,
     ParseError,
@@ -104,16 +105,17 @@ class TestRunBenchmark:
         # the solvers check delta before the star precondition, so the
         # star cells fail like every other algorithm's
         algos = ["star-sc", "star-acov", "d-approx", "exact"]
-        for delta in (0, 9):
-            records = run_benchmark([("ex", example_graph)], algos, delta,
-                                    repetitions=1)
-            assert [r.status for r in records] == ["error:BadDeltaError"] * 4
+        records = run_benchmark([("ex", example_graph)], algos, 9, repetitions=1)
+        assert [r.status for r in records] == ["error:BadDeltaError"] * 4
 
-    def test_non_integer_delta_fails_each_cell(self, example_graph):
-        for delta in (2.5, 2.0, "3", None):
-            records = run_benchmark([("ex", example_graph)], list(ALGORITHMS),
-                                    delta, repetitions=1)
-            assert [r.status for r in records] == ["error:BadDeltaError"] * len(ALGORITHMS)
+    def test_bad_delta_fails_before_any_cell(self, example_graph, monkeypatch):
+        def fail(g, delta):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setitem(ALGORITHMS, "d-approx", fail)
+        for delta in (0, -3, 2.5, 2.0, "3", None):
+            with pytest.raises(BadDeltaError, match=re.escape(repr(delta))):
+                run_benchmark([("ex", example_graph)], ["d-approx"], delta)
 
     def test_unknown_algorithm(self, example_graph):
         with pytest.raises(BadConfigError, match="no-such-algo"):
@@ -220,6 +222,17 @@ class TestCli:
         write_native(periodic_worst_case, tg)
         assert cli_dispatch(["solve", "--algo", "star-sc", "--delta", "0",
                              "--input", str(tg)]) == 2
+
+    def test_bench_delta_zero_is_usage_error(self, tmp_path, capsys, periodic_worst_case):
+        tg = tmp_path / "p.tg"
+        out = tmp_path / "b.csv"
+        write_native(periodic_worst_case, tg)
+        assert cli_dispatch(["bench", "--inputs", str(tg), "--algos", "d-approx",
+                             "--delta", "0", "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: delta must be at least 1, got 0")
+        assert "run 'swtvc bench --help' for usage" in err
+        assert not out.exists()
 
     def test_exact_deep_out_of_budget_exits_2(self, tmp_path, capsys):
         # OPT = 1200 picks, deeper than the recursion limit

@@ -1,3 +1,4 @@
+import gc
 import random
 import sys
 import tracemalloc
@@ -112,6 +113,17 @@ class TestBruteForce:
         g = build_graph(4, 7, [(0, 1, range(1, 8)), (2, 3, range(1, 8))])
         with pytest.raises(TooLargeError):
             brute_force_solve(g, 2)
+
+    def test_limit_checked_before_any_demand(self, monkeypatch):
+        # 2 247 candidates and 38 974 demands: the limit fails first
+        g = random_star_graph(1, n=1000, T=200, d=20)
+
+        def fail(*args):
+            raise AssertionError("demand masks built before the candidate limit")
+
+        monkeypatch.setattr(exact, "_coverage", fail)
+        with pytest.raises(TooLargeError, match="2247 candidate appearances"):
+            brute_force_solve(g, 64)
 
 
 class TestOracleAgreement:
@@ -334,6 +346,9 @@ class TestExactReplay:
 
         def peak(table_bytes):
             monkeypatch.setattr(exact, "_REPLAY_TABLE_BYTES", table_bytes)
+            # a full collection left due by earlier tests would otherwise
+            # land inside one search and empty the free lists it reuses
+            gc.collect()
             tracemalloc.start()
             try:
                 with pytest.raises(BudgetExceededError):

@@ -23,6 +23,7 @@ from swtvc import (
     edges_at,
     exact_solve,
     max_snapshot_degree,
+    run_benchmark,
     single_edge_exact,
     star_acov_solve,
     star_center_at,
@@ -36,7 +37,6 @@ from swtvc.graph import (
     TemporalGraph,
     UnderlyingEdge,
     _check_size,
-    _demand_buckets,
 )
 
 from conftest import random_general_graph, random_star_graph
@@ -429,8 +429,9 @@ class TestDemands:
 
 
 def demand_buckets_reference(g, delta):
-    """``_demand_buckets`` as one append per (start, edge) pair, kept frozen
-    as the oracle of ``TestDemandBucketsDifferential``."""
+    """The edges with a demand at each window start (index 0 unused), one
+    append per (start, edge) pair, kept frozen as the oracle of
+    ``TestDemandBucketsDifferential``."""
     last_start = g.T - delta + 1
     buckets = [[] for _ in range(last_start + 1)]
     for eid, edge in enumerate(g.edges):
@@ -444,14 +445,15 @@ def demand_buckets_reference(g, delta):
 
 
 class TestDemandBucketsDifferential:
-    """``_demand_buckets``' sweep against its frozen per-appearance form."""
+    """``demands()``' window sweep against its frozen per-appearance form,
+    flattened to ``Demand``s in (start, edge id) order."""
 
     def check(self, g, deltas):
         for delta in deltas:
-            buckets = _demand_buckets(g, delta)
-            assert buckets == demand_buckets_reference(g, delta), (g, delta)
-            # one fresh list per start: no two buckets are the same object
-            assert len({id(b) for b in buckets}) == len(buckets), (g, delta)
+            expected = [Demand(eid, w)
+                        for w, bucket in enumerate(demand_buckets_reference(g, delta))
+                        for eid in bucket]
+            assert demands(g, delta) == expected, (g, delta)
 
     def test_zero_lifetime(self):
         for n in (1, 2, 5):
@@ -485,7 +487,8 @@ class TestDemandBucketsDifferential:
                                             app_prob=0.9), range(1, T + 1))
 
 
-#: Every entry point whose Δ `_check_delta` checks, called as ``f(graph, delta)``.
+#: Every entry point that checks its Δ, called as ``f(graph, delta)``:
+#: ``run_benchmark`` before any cell runs, the others through `_check_delta`.
 DELTA_ENTRY_POINTS = {
     "single_edge_exact": lambda g, delta: single_edge_exact([1, 2], g.T, delta),
     "star_sc_solve": star_sc_solve,
@@ -497,6 +500,7 @@ DELTA_ENTRY_POINTS = {
     "brute_force_solve": brute_force_solve,
     "demands": demands,
     "validate_cover": lambda g, delta: validate_cover(g, delta, set()),
+    "run_benchmark": lambda g, delta: run_benchmark([("g", g)], ["d-approx"], delta),
 }
 
 
