@@ -29,6 +29,7 @@ before any byte is read or decoded.
 from __future__ import annotations
 
 import os
+from operator import ge
 from pathlib import Path
 
 from .errors import (
@@ -83,7 +84,7 @@ def _content_lines(path):
 def write_native(g: TemporalGraph, path) -> None:
     lines = [f"{g.n} {g.m} {g.T}"]
     for e in g.edges:
-        apps = " ".join(str(t) for t in e.appearances)
+        apps = " ".join(map(str, e.appearances))
         lines.append(f"{e.u} {e.v} {len(e.appearances)} {apps}")
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -109,7 +110,7 @@ def parse_native(path) -> TemporalGraph:
     for lineno, line in rows[1:]:
         fields = line.split()
         try:
-            nums = [int(f) for f in fields]
+            nums = list(map(int, fields))
         except ValueError:
             raise ParseError(lineno, f"non-integer field in {line!r}")
         if len(nums) < 4:
@@ -120,7 +121,7 @@ def parse_native(path) -> TemporalGraph:
             raise ParseError(lineno, f"declared {k} labels, found {len(labels)}")
         if u >= v:
             raise ParseError(lineno, f"endpoints must satisfy u < v, got {u} {v}")
-        if any(b <= a for a, b in zip(labels, labels[1:])):
+        if any(map(ge, labels, labels[1:])):
             raise ParseError(lineno, f"labels not strictly increasing: {labels}")
         if (u, v) in seen:
             raise ParseError(lineno, f"repeated edge ({u}, {v})")

@@ -16,7 +16,8 @@ import random
 from dataclasses import dataclass
 
 from .errors import BadConfigError, BadDeltaError
-from .graph import TemporalGraph, _check_int, _check_size, _is_integer, build_graph
+from .graph import (
+    TemporalGraph, _assemble, _check_int, _check_size, _is_integer, build_graph)
 
 
 @dataclass(frozen=True)
@@ -92,8 +93,9 @@ def generate_always_star(cfg: GeneratorConfig) -> TemporalGraph:
         for leaf in leaves:
             key = (center, leaf) if center < leaf else (leaf, center)
             labels.setdefault(key, []).append(t)
-    edge_list = [(u, v, ts) for (u, v), ts in sorted(labels.items())]
-    return build_graph(cfg.n, cfg.T, edge_list)
+    # pairs canonical, labels strictly increasing and in range, n and T
+    # checked: nothing is left for build_graph's checks and merge
+    return _assemble(cfg.n, cfg.T, sorted(labels.items()))
 
 
 def _shuffle_tail(rng, x, count):
@@ -116,10 +118,11 @@ def _shuffle_tail(rng, x, count):
         while j >= m:
             j = getrandbits(k)
         x[i], x[j] = x[j], x[i]
-    for m in range(stop, 1, -1):  # the draws for slots below stop
-        k = m.bit_length()
-        while getrandbits(k) >= m:
-            pass
+    # the draws for slots below stop, one bit length k at a time
+    for k in range(stop.bit_length(), 1, -1):
+        for m in range(min(stop, (1 << k) - 1), (1 << (k - 1)) - 1, -1):
+            while getrandbits(k) >= m:
+                pass
 
 
 def _check_family_delta(delta) -> None:

@@ -148,19 +148,33 @@ def build_graph(n: int, T: int, edge_list: Iterable) -> TemporalGraph:
         except TypeError:
             raise OutOfRangeLabelError(f"label {t!r} on edge {key} is not an integer") from None
 
+    return _assemble(n, T, merged.items())
+
+
+def _assemble(n: int, T: int, items) -> TemporalGraph:
+    """The graph of ``items``, ``((u, v), labels)`` pairs in edge id order.
+
+    The caller has checked ``n`` and ``T``, made each pair canonical and
+    distinct and checked every label's range; labels may be any collection
+    of distinct labels, stored sorted.  An empty one is an
+    OutOfRangeLabelError, and a vertex or label that is not an integer a
+    range error naming it, as ``build_graph`` documents.
+    """
     edges = []
     time_index = [[] for _ in range(T + 1)]
     adjacency = [[] for _ in range(n)]
     try:
-        for eid, (key, ts) in enumerate(merged.items()):
+        for eid, (key, ts) in enumerate(items):
             if not ts:
                 raise OutOfRangeLabelError(f"edge {key} has no appearances")
             labels = tuple(sorted(ts))
-            edges.append(UnderlyingEdge(key[0], key[1], labels))
+            u, v = key
+            # as UnderlyingEdge._make does, without the Python-level __new__
+            edges.append(tuple.__new__(UnderlyingEdge, (u, v, labels)))
             for t in labels:
                 time_index[t].append(eid)
-            adjacency[key[0]].append(eid)
-            adjacency[key[1]].append(eid)
+            adjacency[u].append(eid)
+            adjacency[v].append(eid)
     except TypeError:
         # t is the label that failed, or the edge's last one if an endpoint did
         if not _is_integer(t):
@@ -171,8 +185,8 @@ def build_graph(n: int, T: int, edge_list: Iterable) -> TemporalGraph:
         n=n,
         T=T,
         edges=tuple(edges),
-        time_index=tuple(tuple(ids) for ids in time_index),
-        adjacency=tuple(tuple(ids) for ids in adjacency),
+        time_index=tuple(map(tuple, time_index)),
+        adjacency=tuple(map(tuple, adjacency)),
     )
 
 
@@ -252,9 +266,8 @@ def _check_int(value, name: str, low: int, error=BadConfigError) -> None:
 def _check_delta(T: int, delta: int) -> None:
     """The one check of Δ: an integer in ``[1, T]``, or any positive integer
     when ``T`` is 0."""
-    if not _is_integer(delta):
-        raise BadDeltaError(f"delta {delta!r} is not an integer")
-    if not (1 <= delta <= T) and not (T == 0 and delta >= 1):
+    _check_int(delta, "delta", 1, BadDeltaError)
+    if T and delta > T:
         raise BadDeltaError(f"delta {delta} outside [1, {T}]")
 
 

@@ -10,6 +10,7 @@ from swtvc import (
     BadDeltaError,
     GeneratorConfig,
     TooLargeError,
+    build_graph,
     generate_always_star,
     max_snapshot_degree,
     star_acov_solve,
@@ -119,46 +120,72 @@ def shuffle_reference_star(cfg):
     return [(u, v, tuple(ts)) for (u, v), ts in sorted(labels.items())]
 
 
+def shuffle_configs():
+    """Seeded generator configs: small random ones, and ones around the
+    256 bit-length boundary of the shuffle's draws."""
+    rng = random.Random(0)
+    configs = [GeneratorConfig(n=1, T=6, d=0, seed=3),
+               GeneratorConfig(n=2, T=9, d=1, seed=4)]
+    for seed in range(300):
+        n = rng.choice([1, 2, rng.randint(3, 12), rng.randint(13, 90)])
+        configs.append(GeneratorConfig(
+            n=n, T=rng.randint(0, 30),
+            d=0 if n == 1 or seed % 10 == 0 else rng.randint(1, n - 1),
+            seed=seed, underlying_star=seed % 3 == 0,
+            empty_snapshot_prob=rng.choice([0.0, 0.3, 1.0]),
+            persistence=rng.choice([0.0, 0.5, 0.9, 1.0]),
+            center_switch_prob=rng.choice([0.0, 0.1, 1.0])))
+    # around 256 the shuffle's draws change bit length; d = n-1 lets the
+    # center and leaves exclude anything from one vertex to all n, and
+    # lets a step pop every candidate
+    for n in (255, 256, 257, 300):
+        for d in (1, n - 1):
+            for persistence in (0.0, 1.0):
+                for underlying_star in (False, True):
+                    configs.append(GeneratorConfig(
+                        n=n, T=40, d=d, seed=n + d, underlying_star=underlying_star,
+                        persistence=persistence, center_switch_prob=0.1))
+    return configs
+
+
 class TestShuffleTail:
+    def check(self, length, count):
+        seed = length * 1000 + count + 2
+        full, tail = random.Random(seed), random.Random(seed)
+        expected, got = list(range(length)), list(range(length))
+        full.shuffle(expected)
+        _shuffle_tail(tail, got, count)
+        first = max(length - count, 0)
+        assert got[first:] == expected[first:], (length, count)
+        assert tail.getstate() == full.getstate(), (length, count)
+
     def test_tail_and_rng_state_match_shuffle(self):
         for length in range(131):
             for count in range(-2, length + 3):
-                seed = length * 1000 + count + 2
-                full, tail = random.Random(seed), random.Random(seed)
-                expected, got = list(range(length)), list(range(length))
-                full.shuffle(expected)
-                _shuffle_tail(tail, got, count)
-                first = max(length - count, 0)
-                assert got[first:] == expected[first:], (length, count)
-                assert tail.getstate() == full.getstate(), (length, count)
+                self.check(length, count)
+        # the skipped draws run one bit length at a time; these lengths
+        # start a draw loop just below, at and just above a boundary
+        for length in (511, 512, 513, 1023, 1024, 1025):
+            for count in (0, 1, 20, length):
+                self.check(length, count)
 
     def test_generator_matches_full_shuffle(self):
-        rng = random.Random(0)
-        configs = [GeneratorConfig(n=1, T=6, d=0, seed=3),
-                   GeneratorConfig(n=2, T=9, d=1, seed=4)]
-        for seed in range(300):
-            n = rng.choice([1, 2, rng.randint(3, 12), rng.randint(13, 90)])
-            configs.append(GeneratorConfig(
-                n=n, T=rng.randint(0, 30),
-                d=0 if n == 1 or seed % 10 == 0 else rng.randint(1, n - 1),
-                seed=seed, underlying_star=seed % 3 == 0,
-                empty_snapshot_prob=rng.choice([0.0, 0.3, 1.0]),
-                persistence=rng.choice([0.0, 0.5, 0.9, 1.0]),
-                center_switch_prob=rng.choice([0.0, 0.1, 1.0])))
-        # around 256 the shuffle's draws change bit length; d = n-1 lets the
-        # center and leaves exclude anything from one vertex to all n, and
-        # lets a step pop every candidate
-        for n in (255, 256, 257, 300):
-            for d in (1, n - 1):
-                for persistence in (0.0, 1.0):
-                    for underlying_star in (False, True):
-                        configs.append(GeneratorConfig(
-                            n=n, T=40, d=d, seed=n + d, underlying_star=underlying_star,
-                            persistence=persistence, center_switch_prob=0.1))
-        for cfg in configs:
+        for cfg in shuffle_configs():
             g = generate_always_star(cfg)
             got = [(e.u, e.v, e.appearances) for e in g.edges]
             assert got == shuffle_reference_star(cfg), cfg
+
+    def test_generator_graph_matches_build_graph(self):
+        # the generator assembles its graph without build_graph's checks
+        # and merge; the whole graph, indices included, must be the same
+        configs = shuffle_configs() + [
+            GeneratorConfig(n=1000, T=40, d=20, seed=1),  # star-wide-window's shape
+            GeneratorConfig(n=400, T=40, d=60, seed=1),  # star-dense-narrow's shape
+        ]
+        for cfg in configs:
+            g = generate_always_star(cfg)
+            edge_list = [(e.u, e.v, list(e.appearances)) for e in g.edges]
+            assert g == build_graph(cfg.n, cfg.T, edge_list), cfg
 
 
 #: Values the worst-case builders reject as not an integer.

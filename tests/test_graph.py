@@ -106,6 +106,16 @@ class TestBuildGraph:
         with pytest.raises(OutOfRangeVertexError, match="not a"):
             build_graph(3, 3, [(0, 1), (1, 2, [9])])
 
+    def test_range_errors_before_assembly_errors(self):
+        # 1.5 passes the range check and fails only when the graph is
+        # assembled, after every edge's range check, so label 9 is named
+        with pytest.raises(OutOfRangeLabelError,
+                           match=re.escape("label 9 outside [1, 3] on edge (1, 2)")):
+            build_graph(3, 3, [(0, 1, [1.5]), (1, 2, [9])])
+        with pytest.raises(OutOfRangeLabelError,
+                           match=re.escape("label 1.5 on edge (0, 1) is not an integer")):
+            build_graph(3, 3, [(0, 1, [1.5])])
+
     def test_size_limit(self):
         with pytest.raises(TooLargeError):
             build_graph(MAX_SIZE + 1, 1, [])
@@ -509,6 +519,22 @@ DELTA_ENTRY_POINTS = {
 def test_non_integer_delta_is_a_bad_delta(periodic_worst_case, entry, delta):
     with pytest.raises(BadDeltaError, match="not an integer"):
         DELTA_ENTRY_POINTS[entry](periodic_worst_case, delta)
+
+
+@pytest.mark.parametrize("entry", sorted(DELTA_ENTRY_POINTS))
+@pytest.mark.parametrize("delta", [0, -3])
+@pytest.mark.parametrize("T", [0, 6])
+def test_delta_below_one_has_one_wording(periodic_worst_case, entry, delta, T):
+    g = periodic_worst_case if T else build_graph(2, 0, [])
+    with pytest.raises(BadDeltaError, match=re.escape(f"delta must be at least 1, got {delta}")):
+        DELTA_ENTRY_POINTS[entry](g, delta)
+
+
+@pytest.mark.parametrize("entry", sorted(set(DELTA_ENTRY_POINTS) - {"run_benchmark"}))
+def test_delta_above_lifetime_names_the_range(periodic_worst_case, entry):
+    # run_benchmark records it in the instance's rows instead of raising
+    with pytest.raises(BadDeltaError, match=re.escape("delta 7 outside [1, 6]")):
+        DELTA_ENTRY_POINTS[entry](periodic_worst_case, 7)
 
 
 class TestValidateCover:
