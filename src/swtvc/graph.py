@@ -206,22 +206,30 @@ def edges_at(g: TemporalGraph, t: int) -> tuple:
         raise OutOfRangeLabelError(f"time step {t!r} is not an integer") from None
 
 
+def _center_rule(edges: tuple, active: tuple) -> int:
+    """The only vertex that can be the center of the nonempty snapshot
+    ``active``: the first edge's v when the last active edge holds it, else
+    its u (the smaller endpoint, so a single edge yields u)."""
+    u, v, _ = edges[active[0]]
+    # two distinct edges share at most one endpoint, so the first edge's v
+    # is the only candidate when another edge holds it, and u otherwise
+    a, b, _ = edges[active[-1]]
+    return v if len(active) > 1 and (a == v or b == v) else u
+
+
 def star_center_at(g: TemporalGraph, t: int) -> Optional[int]:
     """Common endpoint of all edges active at ``t``.
 
     Returns None for an empty snapshot.  A single-edge snapshot yields the
     endpoint with the smaller vertex id.  Raises NotAStarError when no
-    vertex is shared by every active edge.
+    vertex is shared by every active edge.  The candidate comes from the
+    same rule ``_star_centers`` uses, so both name the same center.
     """
     active = edges_at(g, t)
     if not active:
         return None
     edges = g.edges
-    u, v, _ = edges[active[0]]
-    # two distinct edges share at most one endpoint, so the first edge's v
-    # is the only candidate when another edge holds it, and u otherwise
-    a, b, _ = edges[active[-1]]
-    center = v if len(active) > 1 and (a == v or b == v) else u
+    center = _center_rule(edges, active)
     for eid in active:
         a, b, _ = edges[eid]
         if a != center and b != center:
@@ -233,9 +241,24 @@ def _star_centers(g: TemporalGraph) -> list:
     """``[None]`` then the star center of each step 1..T (None when empty).
 
     Raises NotAStarError at the first non-star snapshot, so this is the
-    always-star precondition check as well.
+    always-star precondition check as well.  Each snapshot is checked by
+    one C-level ``issuperset`` against the set of its candidate's incident
+    edges, built once per call the first time that vertex is a candidate.
     """
-    return [None] + [star_center_at(g, t) for t in range(1, g.T + 1)]
+    edges, adjacency, time_index = g.edges, g.adjacency, g.time_index
+    centers = [None] * (g.T + 1)
+    incident = {}  # candidate vertex -> set of its incident edge ids
+    for t in range(1, g.T + 1):
+        active = time_index[t]
+        if active:
+            center = _center_rule(edges, active)
+            around = incident.get(center)
+            if around is None:
+                around = incident[center] = set(adjacency[center])
+            if not around.issuperset(active):
+                raise NotAStarError(t)
+            centers[t] = center
+    return centers
 
 
 def validate_always_star(g: TemporalGraph) -> Optional[int]:

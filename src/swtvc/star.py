@@ -3,12 +3,16 @@
 Both solvers only ever pick star-center appearances, so their output is a
 subset of "one center per nonempty snapshot".  ``star_sc_solve`` takes all
 of them; ``star_acov_solve`` slides a window over the lifetime and drops
-centers whose edges are covered by other centers inside the window.
+centers whose edges are covered by other centers inside the window.  It
+examines only the steps that can still change its cover, taken from a heap
+of due steps, so its work follows those steps rather than the window
+slots.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from heapq import heappop, heappush
 
 from .graph import (
     Cover,
@@ -37,22 +41,34 @@ def star_sc_solve(g: TemporalGraph, delta: int) -> Cover:
 def star_acov_solve(g: TemporalGraph, delta: int) -> Cover:
     """Sliding-window solver keeping only centers that are actually needed.
 
-    Each window [t, end] visits its steps in order.  A step that is not yet
-    in the cover is forced in when one of its edges has neither an included
-    step nor a later step inside the window.  Otherwise it is excluded for
-    this window only, and each of its edges without an included step is
-    charged to its last step in the window, unless an earlier charge
-    covered it already; charges go in order of that step, ties by edge id.
+    Each window [t, end] examines its steps in order.  A step that is not
+    yet in the cover is forced in when one of its edges has neither an
+    included step nor a later step inside the window.  Otherwise it is
+    excluded for this window only, and each of its edges without an
+    included step is charged to its last step in the window, unless an
+    earlier charge covered it already; charges go in order of that step,
+    ties by edge id.
 
     Included steps never leave the cover and none lies after ``end``, so
     an edge has an included step in the window exactly when ``covered``,
     its latest included step, is at least ``t``.  The steps of (s, end]
     not in the cover are all undecided, so when a step s finds an edge
     uncovered, that edge's latest other candidate is its last appearance up
-    to ``end`` (one binary search), provided it lies after s.  A window
-    costs O(1) for each edge of each undecided step, plus one binary search
-    per edge without an included step: O(delta * d) plus those searches
-    for snapshots of at most d edges.
+    to ``end`` (one binary search), provided it lies after s.
+
+    A step whose edges all have ``covered`` at least ``t`` changes nothing
+    at window t, and since ``covered`` only grows it changes nothing until
+    the window passes the least of those values.  So only due steps are
+    examined, from a min-heap of ``window * (T + 1) + step``: a nonempty
+    step is first due at its first window, and a step left out at window t
+    is due again one past the least ``covered`` of its edges (which is past
+    t), or dropped once that lies beyond the step itself.  Steps of one
+    window pop in increasing order, as a scan of the window would visit
+    them, and nothing becomes due in the middle of a window, so the cover
+    is the one the scan of every window slot makes.  Each examination costs
+    O(1) per edge of the step, plus one binary search per uncovered edge
+    and one heap operation: the work follows the steps that can still
+    change the cover, not the (T - delta + 1) * delta window slots.
     """
     _check_delta(g.T, delta)
     centers = _star_centers(g)
@@ -68,25 +84,38 @@ def star_acov_solve(g: TemporalGraph, delta: int) -> Cover:
             if covered[eid] < s:
                 covered[eid] = s
 
-    for t in range(1, g.T - delta + 2):
+    covered_at = covered.__getitem__
+    stride, last = g.T + 1, g.T - delta + 1
+    # each nonempty step is first due at its first window; the keys ascend
+    # in s, so the list is already a heap, and plain ints, which the cyclic
+    # GC does not track, keep a long sparse lifetime cheap
+    due = [stride + s for s in range(1, min(delta, g.T + 1)) if index[s]]
+    due += [(s - delta + 1) * stride + s for s in range(delta, g.T + 1) if index[s]]
+    while due:
+        t, s = divmod(heappop(due), stride)
+        if t > last:
+            break
+        if included[s]:
+            continue
         end = t + delta - 1
-        for s in range(t, end + 1):
-            if included[s]:
+        plans = []  # (last step in the window, eid) of uncovered edges
+        for eid in index[s]:
+            if covered[eid] >= t:
                 continue
-            plans = []  # (last step in the window, eid) of uncovered edges
-            for eid in index[s]:
-                if covered[eid] >= t:
-                    continue
-                apps = edges[eid].appearances
-                latest = apps[bisect_right(apps, end) - 1]
-                if latest <= s:
-                    include(s)  # no other center can cover this edge
-                    break
-                plans.append((latest, eid))
-            else:
-                # most constrained edge first, so one inclusion serves the rest
-                for latest, eid in sorted(plans):
-                    if covered[eid] < t:
-                        include(latest)
+            apps = edges[eid].appearances
+            latest = apps[bisect_right(apps, end) - 1]
+            if latest <= s:
+                include(s)  # no other center can cover this edge
+                break
+            plans.append((latest, eid))
+        else:
+            # most constrained edge first, so one inclusion serves the rest
+            plans.sort()
+            for latest, eid in plans:
+                if covered[eid] < t:
+                    include(latest)
+            again = min(map(covered_at, index[s])) + 1
+            if again <= s:
+                heappush(due, again * stride + s)
 
     return cover

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+from bisect import bisect_right
 from math import ceil
 
 import pytest
@@ -20,6 +23,7 @@ from swtvc import (
     worst_case_acov_instance,
     worst_case_sc_instance,
 )
+from swtvc.graph import _star_centers
 
 from conftest import random_general_graph, random_star_graph
 
@@ -95,6 +99,26 @@ class TestStarAcov:
             star_acov_solve(periodic_worst_case, 0)
         with pytest.raises(BadDeltaError):
             star_acov_solve(periodic_worst_case, 7)
+
+    def test_long_sparse_lifetime_memory(self):
+        # a heap of due steps holds one entry per nonempty step, so on a
+        # lifetime of few labels the solver's peak stays near that of the
+        # T + 1 centers it reads; a bucket per window would not
+        g = sparse_star(200_000)
+
+        def peak(fn):
+            fn()  # the first traced call counts one-time allocations
+            gc.collect()
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        centers = peak(lambda: _star_centers(g))
+        for delta in (3, 1_000):
+            assert peak(lambda: star_acov_solve(g, delta)) <= 1.5 * centers
 
     def test_worst_case_family_tight_at_larger_delta(self):
         # the (delta-1) ratio is attained exactly far beyond delta 2..4
@@ -182,8 +206,55 @@ def ring_buffer_acov(g, delta):
     return cover
 
 
+def slot_scan_acov(g, delta):
+    """Reference: the earlier star-acov loop, which examines every slot of
+    every window, (T - delta + 1) * delta of them, in window order."""
+    centers = [None] + [star_center_at(g, t) for t in range(1, g.T + 1)]
+    index, edges = g.time_index, g.edges
+    included = bytearray(g.T + 1)
+    covered = [0] * g.m  # latest included step at which each edge is active
+    cover = set()
+
+    def include(s):
+        included[s] = 1
+        cover.add(VertexAppearance(centers[s], s))
+        for eid in index[s]:
+            if covered[eid] < s:
+                covered[eid] = s
+
+    for t in range(1, g.T - delta + 2):
+        end = t + delta - 1
+        for s in range(t, end + 1):
+            if included[s]:
+                continue
+            plans = []  # (last step in the window, eid) of uncovered edges
+            for eid in index[s]:
+                if covered[eid] >= t:
+                    continue
+                apps = edges[eid].appearances
+                latest = apps[bisect_right(apps, end) - 1]
+                if latest <= s:
+                    include(s)  # no other center can cover this edge
+                    break
+                plans.append((latest, eid))
+            else:
+                # most constrained edge first, so one inclusion serves the rest
+                for latest, eid in sorted(plans):
+                    if covered[eid] < t:
+                        include(latest)
+
+    return cover
+
+
+def sparse_star(T):
+    """Star on center 0 with seven labels spread over a long lifetime."""
+    return build_graph(5, T, [(0, 1, [1, T // 3, T]), (0, 2, [2, T // 3 + 1]),
+                              (0, 3, [T // 2]), (0, 4, [T - 1])])
+
+
 class TestStarAcovDifferential:
-    """star-acov returns the same set as the ring-buffer reference."""
+    """star-acov returns the same set as the ring-buffer reference and, on
+    corpora too large for that one, as the frozen slot scan."""
 
     def check(self, g):
         for delta in range(1, max(g.T, 1) + 1):
@@ -215,6 +286,32 @@ class TestStarAcovDifferential:
         self.check(build_graph(3, 5, []))
         self.check(build_graph(3, 0, []))
 
+    def test_generator_stars_against_slot_scan(self):
+        # sizes the ring buffer is too slow for: wide windows on a sparse
+        # lifetime, and narrow ones on dense snapshots
+        shapes = ((200, 200, 20, (2, 3, 16, 64, 128, 200)),
+                  (100, 120, 60, (1, 2, 3, 5)))
+        for n, T, d, deltas in shapes:
+            for seed, (underlying, empty, persistence) in enumerate(
+                    (u, e, p) for u in (False, True) for e in (0.0, 0.3)
+                    for p in (0.0, 0.99)):
+                g = generate_always_star(GeneratorConfig(
+                    n=n, T=T, d=d, seed=seed, underlying_star=underlying,
+                    empty_snapshot_prob=empty, persistence=persistence))
+                for delta in deltas:
+                    assert star_acov_solve(g, delta) == slot_scan_acov(g, delta)
+
+    def test_worst_case_families_against_slot_scan(self):
+        for delta in range(2, 33):
+            for reps in (1, 3):
+                g = worst_case_acov_instance(delta, reps, 3 * delta)
+                assert star_acov_solve(g, delta) == slot_scan_acov(g, delta)
+
+    def test_sparse_long_lifetime_against_slot_scan(self):
+        g = sparse_star(5_000)
+        for delta in (1, 2, 3, 7, 100, 4_900, 4_999, 5_000):
+            assert star_acov_solve(g, delta) == slot_scan_acov(g, delta)
+
     def test_long_lifetime_wide_windows(self):
         # windows far wider than the T <= 30 corpus above, across persistence
         for persistence in (0.0, 0.5, 0.9):
@@ -231,10 +328,28 @@ class TestStarAcovDifferential:
 class TestAlwaysStarCheck:
     """``validate_always_star`` and the star solvers share one center scan,
     so they agree on which graphs are always-star and on the first
-    non-star step."""
+    non-star step, and the scan names the centers ``star_center_at`` does."""
 
     def check(self, g):
-        offender = validate_always_star(g)
+        # the per-step answers are the reference the scan must reproduce
+        expected = [None]
+        offender = None
+        for t in range(1, g.T + 1):
+            try:
+                expected.append(star_center_at(g, t))
+            except NotAStarError as exc:
+                assert exc.time_step == t
+                offender = t
+                break
+        assert validate_always_star(g) == offender
+        if offender is None:
+            assert _star_centers(g) == expected
+            for t, center in enumerate(expected[1:], 1):
+                assert all(center in g.edges[eid][:2] for eid in g.time_index[t])
+        else:
+            with pytest.raises(NotAStarError) as caught:
+                _star_centers(g)
+            assert caught.value.time_step == offender
         delta = max(1, min(3, g.T))
         for solve in (star_sc_solve, star_acov_solve):
             try:
@@ -243,6 +358,7 @@ class TestAlwaysStarCheck:
                 assert exc.time_step == offender
             else:
                 assert offender is None
+        return expected
 
     def test_random_general_graphs(self):
         offenders = 0
@@ -257,10 +373,25 @@ class TestAlwaysStarCheck:
             g = random_star_graph(seed, n=10, T=14, d=5, empty_prob=0.2)
             assert validate_always_star(g) is None
             self.check(g)
+        for seed in range(4):
+            self.check(random_star_graph(seed, n=200, T=200, d=20, underlying=seed % 2))
+
+    def test_one_edge_snapshot_names_smaller_endpoint(self):
+        for u, v in ((2, 5), (5, 2)):
+            assert self.check(build_graph(6, 2, [(u, v, [2])])) == [None, None, 2]
+
+    def test_two_edge_snapshot_names_shared_endpoint(self):
+        # the shared vertex as the smaller or the larger endpoint of either edge
+        for first, second, shared in (((1, 3), (1, 4), 1), ((3, 1), (4, 3), 3),
+                                      ((1, 3), (3, 4), 3), ((2, 4), (0, 4), 4),
+                                      ((0, 4), (2, 4), 4), ((4, 0), (4, 2), 4)):
+            g = build_graph(5, 1, [(*first, [1]), (*second, [1])])
+            assert self.check(g) == [None, shared]
 
     def test_empty_graphs(self):
-        self.check(build_graph(3, 5, []))
-        self.check(build_graph(3, 0, []))
+        assert self.check(build_graph(3, 5, [])) == [None] * 6
+        assert self.check(build_graph(3, 0, [])) == [None]
+        assert _star_centers(build_graph(0, 0, [])) == [None]
 
 
 @st.composite
