@@ -6,8 +6,12 @@ takes the union (a d-approximation on always degree-at-most-d graphs).
 by walking the appearance lists instead of every time step.  It makes one
 pass over each edge's sorted labels, hosting the edge's picks at the
 endpoint ``chosen_endpoint`` names, all edges in one call of the shared
-greedy ``_single_edge_picks``: O(n + m + picks * log k) for k labels per
-edge.  ``single_edge_exact`` is the same greedy on one checked label list.
+greedy ``_single_edge_picks``.  A label at least delta past the previous
+pick is the next pick with no search; only a window starting right after
+the previous pick takes a binary search, and a pick another edge already
+made is looked up, not rebuilt: O(n + m + picks + s * log k) for k labels
+per edge and s <= picks searched windows.  ``single_edge_exact`` is the
+same greedy on one checked label list.
 ``d1_approx_solve`` covers two-edge paths through their middle vertex, a
 heuristic with no proven bound.
 """
@@ -61,24 +65,38 @@ def single_edge_exact(appearances, T: int, delta: int):
 def _single_edge_picks(label_lists, hosts, last_start: int, delta: int) -> Cover:
     """``single_edge_exact``'s greedy on each sorted label sequence, unchecked:
     the set of ``(host, pick)`` appearances, each pick hosted by the
-    sequence's vertex in ``hosts``."""
+    sequence's vertex in ``hosts``.
+
+    One label at a time, with ``last`` the previous pick: a label ``a``
+    with ``a - delta >= last`` ends the first open window,
+    ``[a - delta + 1, a]``, so it is the pick with no search.  Any other
+    label lies before the end of the window starting at ``last + 1``;
+    unless that window starts past ``last_start``, one binary search finds
+    its last label.  A pick another sequence already made is looked up,
+    not rebuilt."""
     cover = set()
     for apps, host in zip(label_lists, hosts):
         last = 0
         j = 0
         while j < len(apps):
-            t = apps[j] - delta + 1
-            if t <= last:
-                t = last + 1
-            if t > last_start:
+            a = apps[j]
+            if a - delta >= last:
+                # a <= T, so its window [a - delta + 1, a] starts by last_start
+                last = a
+                j += 1
+            elif last >= last_start:
                 break
-            # the window's last appearance, searched from j; j moves just
-            # past it
-            j = bisect_right(apps, t + delta - 1, j)
-            last = apps[j - 1]
-            # tuple.__new__, as Demand lists are built, skips the
-            # namedtuple's Python-level __new__
-            cover.add(tuple.__new__(VertexAppearance, (host, last)))
+            else:
+                # the window's last appearance, searched from j; j moves
+                # just past it
+                j = bisect_right(apps, last + delta, j)
+                last = apps[j - 1]
+            pick = (host, last)
+            if pick not in cover:
+                # tuple.__new__, as Demand lists are built, skips the
+                # namedtuple's Python-level __new__; a shared pick keeps
+                # the object built first
+                cover.add(tuple.__new__(VertexAppearance, pick))
     return cover
 
 

@@ -19,7 +19,9 @@ pairs and dedups and sorts labels, so ``convert_snap`` hands it raw label
 lists.  Syntax is checked before the graph, so a native file reports its
 first syntax error before any range error, wherever the two lie.
 
-Cover files hold one ``v t`` pair per line.
+Cover files hold one ``v t`` pair per line.  ``write_cover`` refuses an
+element that is not a pair of integers before it opens the file, so
+``parse_cover`` reads back whatever it writes.
 
 Each file is read whole, after one size check: a file of more than
 ``MAX_FILE_BYTES`` is a TooLargeError naming its path and size, raised
@@ -36,10 +38,19 @@ from .errors import (
     DuplicateAppearanceError,
     EmptyInputError,
     NegativeTimestampError,
+    OutOfRangeLabelError,
+    OutOfRangeVertexError,
     ParseError,
     TooLargeError,
 )
-from .graph import Cover, TemporalGraph, VertexAppearance, _check_int, build_graph
+from .graph import (
+    Cover,
+    TemporalGraph,
+    VertexAppearance,
+    _check_int,
+    _is_integer,
+    build_graph,
+)
 
 #: Largest input file read, in bytes.  Decoding it to ``str`` and splitting
 #: it into lines take several times its size, so a larger file is refused
@@ -187,8 +198,36 @@ def convert_snap(path, bucket_seconds: int = 3600, keep_gaps: bool = True) -> Te
     return build_graph(len(ids), T, edge_list)
 
 
+def _time_then_vertex(va) -> tuple:
+    """``(t, v)`` of a cover element, checked as ``write_cover`` says."""
+    try:
+        v, t = va
+    except (TypeError, ValueError):
+        v = t = None  # not a pair: named by the vertex check
+    if not _is_integer(v):
+        raise OutOfRangeVertexError(
+            f"cover element {va!r} is not a (vertex, time) pair of integers")
+    if not _is_integer(t):
+        raise OutOfRangeLabelError(
+            f"appearance time {t!r} in cover element {va!r} is not an integer")
+    return t, v
+
+
 def write_cover(cover: Cover, path) -> None:
-    lines = [f"{v} {t}" for v, t in sorted(cover, key=lambda a: (a[1], a[0]))]
+    """One ``v t`` line per appearance, by time, then vertex.
+
+    Every element is checked before the file is opened, so the file holds
+    only what ``parse_cover`` reads back.  In ``validate_cover``'s words, a
+    cover that is not iterable, or an element that is not a pair of
+    integers, is an OutOfRangeVertexError naming it, and a time that is not
+    an integer is an OutOfRangeLabelError naming it.
+    """
+    try:
+        cover = iter(cover)
+    except TypeError:
+        raise OutOfRangeVertexError(f"cover {cover!r} is not iterable") from None
+    # %d writes an integer type such as bool as the integer it stands for
+    lines = ["%d %d" % (v, t) for t, v in sorted(map(_time_then_vertex, cover))]
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
 
 

@@ -31,8 +31,10 @@ def star_sc_solve(g: TemporalGraph, delta: int) -> Cover:
     """
     _check_delta(g.T, delta)
     centers = _star_centers(g)
+    # tuple.__new__, as Demand lists are built, skips the namedtuple's
+    # Python-level __new__
     return {
-        VertexAppearance(centers[t], t)
+        tuple.__new__(VertexAppearance, (centers[t], t))
         for t in range(1, g.T + 1)
         if centers[t] is not None
     }
@@ -79,7 +81,7 @@ def star_acov_solve(g: TemporalGraph, delta: int) -> Cover:
 
     def include(s):
         included[s] = 1
-        cover.add(VertexAppearance(centers[s], s))
+        cover.add(tuple.__new__(VertexAppearance, (centers[s], s)))
         for eid in index[s]:
             if covered[eid] < s:
                 covered[eid] = s

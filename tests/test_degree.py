@@ -138,6 +138,20 @@ class TestSingleEdgeExactDifferential:
                     assert (single_edge_exact(apps, T, delta)
                             == single_edge_exact_reference(apps, T, delta))
 
+    def test_repeated_labels(self):
+        # nondecreasing lists: a repeat of a pick must not add a pick or
+        # move the next window
+        rng = random.Random(13)
+        repeated_picks = 0
+        for _ in range(2000):
+            T = rng.randint(1, 40)
+            apps = sorted(rng.randint(1, T) for _ in range(rng.randint(1, 12)))
+            for delta in {1, min(2, T), min(3, T), rng.randint(1, T), T}:
+                chosen = single_edge_exact(apps, T, delta)
+                assert chosen == single_edge_exact_reference(apps, T, delta)
+                repeated_picks += any(apps.count(t) > 1 for t in chosen)
+        assert repeated_picks
+
 
 def chosen_endpoint_reference(g, eid):
     """``chosen_endpoint`` with its explicit tie branch, kept frozen as the
@@ -226,17 +240,40 @@ class TestDApproxSDifferential:
     """The one-call greedy returns the set of the per-edge form, and hosts
     every pick where ``chosen_endpoint`` does."""
 
-    REACHED = ("delta 1", "delta T", "single label", "tie", "v hosts")
+    REACHED = ("delta 1", "delta T", "single label", "tie", "v hosts",
+               "shared pick", "no search", "bisect")
 
     def check(self, g, deltas, reached):
         for delta in deltas:
-            assert d_approx_s_solve(g, delta) == d_approx_s_reference(g, delta)
+            cover = d_approx_s_solve(g, delta)
+            assert cover == d_approx_s_reference(g, delta)
+            # shared picks are looked up as plain tuples; none may be kept
+            assert all(type(va) is VertexAppearance for va in cover)
             reached["delta 1"] += delta == 1
             reached["delta T"] += delta == g.T
+            self.count_picks(g, delta, reached)
         reached["single label"] += any(len(e.appearances) == 1 for e in g.edges)
         for eid, (u, v, _) in enumerate(g.edges):
             reached["tie"] += len(g.adjacency[u]) == len(g.adjacency[v])
             reached["v hosts"] += chosen_endpoint(g, eid) == v
+
+    @staticmethod
+    def count_picks(g, delta, reached):
+        """Count the reference's picks by the branch of the greedy that
+        makes them, and the (host, step) picks two or more edges share."""
+        picked = set()
+        for eid, edge in enumerate(g.edges):
+            apps = edge.appearances
+            host = chosen_endpoint(g, eid)
+            last = 0
+            for t in one_list_picks_reference(apps, g.T - delta + 1, delta):
+                # the first label after the last pick ends its own window
+                # exactly when it lies a full window past that pick
+                first = apps[bisect_right(apps, last)]
+                reached["no search" if first - delta >= last else "bisect"] += 1
+                reached["shared pick"] += (host, t) in picked
+                picked.add((host, t))
+                last = t
 
     def test_random_general_graphs(self):
         rng = random.Random(11)
@@ -256,6 +293,15 @@ class TestDApproxSDifferential:
             for d in (1, n - 1):
                 g = generate_always_star(GeneratorConfig(n=n, T=30, d=d, seed=seed))
                 self.check(g, (1, 2, 3, 1 + seed % 30, 30), reached)
+        assert all(reached.values()), reached
+
+    def test_generator_stars_dense(self):
+        reached = dict.fromkeys(self.REACHED, 0)
+        for seed in range(6):
+            n = 24 + 4 * seed
+            for d in (20, n - 1):
+                g = generate_always_star(GeneratorConfig(n=n, T=30, d=d, seed=seed))
+                self.check(g, (1, 2, 3, 30), reached)
         assert all(reached.values()), reached
 
     def test_worst_case_families(self):

@@ -12,6 +12,7 @@ from swtvc import (
     EmptyInputError,
     NegativeTimestampError,
     OutOfRangeLabelError,
+    OutOfRangeVertexError,
     ParseError,
     TooLargeError,
     TvcError,
@@ -19,6 +20,7 @@ from swtvc import (
     convert_snap,
     parse_cover,
     parse_native,
+    validate_cover,
     write_cover,
     write_native,
 )
@@ -267,6 +269,45 @@ class TestCoverFiles:
         path.write_text("0 1 2\n")
         with pytest.raises(ParseError):
             parse_cover(path)
+
+    @pytest.mark.parametrize("cover, error, message", [
+        ({(0, "x")}, OutOfRangeLabelError,
+         "appearance time 'x' in cover element (0, 'x') is not an integer"),
+        ({(0, 1.5)}, OutOfRangeLabelError,
+         "appearance time 1.5 in cover element (0, 1.5) is not an integer"),
+        ({(1,)}, OutOfRangeVertexError,
+         "cover element (1,) is not a (vertex, time) pair of integers"),
+        ([(0, 1), (1, 2, 3)], OutOfRangeVertexError,
+         "cover element (1, 2, 3) is not a (vertex, time) pair of integers"),
+        ({("a", 1)}, OutOfRangeVertexError,
+         "cover element ('a', 1) is not a (vertex, time) pair of integers"),
+        ({(0.0, 1)}, OutOfRangeVertexError,
+         "cover element (0.0, 1) is not a (vertex, time) pair of integers"),
+        (5, OutOfRangeVertexError, "cover 5 is not iterable"),
+    ])
+    def test_element_not_an_integer_pair_rejected_before_opening(
+            self, tmp_path, cover, error, message):
+        path = tmp_path / "c.cov"
+        with pytest.raises(error) as info:
+            write_cover(cover, path)
+        assert str(info.value) == message
+        assert not path.exists()
+
+    @pytest.mark.parametrize("cover", [{(0, "x")}, {(1,)}, {("a", 1)}, 5])
+    def test_rejection_worded_as_validate_cover(self, tmp_path, cover):
+        g = build_graph(2, 3, [(0, 1, [1])])
+        with pytest.raises(TvcError) as written:
+            write_cover(cover, tmp_path / "c.cov")
+        with pytest.raises(TvcError) as validated:
+            validate_cover(g, 1, cover)
+        assert type(written.value) is type(validated.value)
+        assert str(written.value) == str(validated.value)
+
+    def test_integer_types_written_as_integers(self, tmp_path):
+        path = tmp_path / "c.cov"
+        write_cover([(True, 2), (0, 3)], path)
+        assert path.read_text() == "1 2\n0 3\n"
+        assert parse_cover(path) == {(1, 2), (0, 3)}
 
 
 class TestParseErrorLines:
