@@ -21,7 +21,7 @@ from .errors import (
     TvcError,
 )
 from .exact import exact_solve
-from .formats import _read_text
+from .formats import _read_text, _write_bytes
 from .graph import TemporalGraph, _check_int, validate_cover
 from .star import star_acov_solve, star_sc_solve
 
@@ -144,13 +144,16 @@ def run_benchmark(
 
 
 def write_csv(records: Sequence[BenchRecord], path) -> None:
-    # UTF-8 like read_csv; a path from argv under a non-UTF-8 locale holds
-    # surrogate escapes, written back as the path's own bytes
-    with open(path, "w", newline="", encoding="utf-8", errors="surrogateescape") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for rec in records:
-            writer.writerow(rec.csv_row())
+    """``CSV_HEADER`` and one row per record, in the csv module's default
+    dialect (rows end in ``\r\n``), written as UTF-8 like ``read_csv``
+    reads it.  The rows are rendered before the file is opened."""
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(CSV_HEADER)
+    writer.writerows(rec.csv_row() for rec in records)
+    # an instance path from argv under a non-UTF-8 locale holds surrogate
+    # escapes, written back as the path's own bytes
+    _write_bytes(path, text.getvalue().encode("utf-8", "surrogateescape"))
 
 
 def read_csv(path) -> List[Tuple[int, dict]]:

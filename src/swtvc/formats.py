@@ -23,16 +23,22 @@ Cover files hold one ``v t`` pair per line.  ``write_cover`` refuses an
 element that is not a pair of integers before it opens the file, so
 ``parse_cover`` reads back whatever it writes.
 
-Each file is read whole, after one size check: a file of more than
-``MAX_FILE_BYTES`` is a TooLargeError naming its path and size, raised
-before any byte is read or decoded.
+Every file swtvc reads or writes goes through one of two helpers built
+on os-level calls, with no io object between.  ``_read_text`` reads a
+file whole, after one size check: a file of more than ``MAX_FILE_BYTES``
+is a TooLargeError naming its path and size, raised before any byte is
+read or decoded.  ``_write_bytes`` writes the bytes it is given, so no
+platform translates line ends: native and cover files are UTF-8 with
+``\n`` line ends everywhere.  An OSError names the path as ``open()``
+does.
 """
 
 from __future__ import annotations
 
+import errno
 import os
+import stat
 from operator import ge
-from pathlib import Path
 
 from .errors import (
     DuplicateAppearanceError,
@@ -65,22 +71,51 @@ def _split_lines(text: str) -> list:
     return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
+#: ``O_BINARY`` keeps Windows from translating line ends; elsewhere it is 0.
+_BINARY = getattr(os, "O_BINARY", 0)
+
+
 def _read_text(path) -> str:
     """The text of ``path``; a file of more than ``MAX_FILE_BYTES`` raises
     ``TooLargeError`` before it is read, and input that is not UTF-8 raises
     ``ParseError`` at the 1-based line of its first bad byte.  A pipe or
-    other file with no size is read whole."""
-    with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-        if size > MAX_FILE_BYTES:
+    other file with no size is read whole.  An ``OSError`` names the path
+    as ``open()`` does, a directory included."""
+    fd = os.open(path, os.O_RDONLY | _BINARY)
+    try:
+        st = os.fstat(fd)
+        # opening a directory read-only succeeds; open() refuses it by name
+        if stat.S_ISDIR(st.st_mode):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
+                                    os.fspath(path))
+        if st.st_size > MAX_FILE_BYTES:
             raise TooLargeError(
-                f"{path}: file of {size} bytes; at most {MAX_FILE_BYTES} are read")
-        data = f.read()
+                f"{path}: file of {st.st_size} bytes; at most {MAX_FILE_BYTES} are read")
+        # a regular file comes in one read and its EOF in a second; a pipe,
+        # which has no size, in chunks
+        chunks, want = [], st.st_size + 1 if st.st_size else 1 << 16
+        while chunk := os.read(fd, want):
+            chunks.append(chunk)
+    finally:
+        os.close(fd)
+    data = b"".join(chunks)
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         before = data[:exc.start].decode("utf-8")
         raise ParseError(len(_split_lines(before)), "input is not UTF-8 text") from None
+
+
+def _write_bytes(path, data: bytes) -> None:
+    """Create or truncate ``path`` and write ``data`` to it, short writes
+    included."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | _BINARY, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+    finally:
+        os.close(fd)
 
 
 def _content_lines(path):
@@ -97,7 +132,7 @@ def write_native(g: TemporalGraph, path) -> None:
     for e in g.edges:
         apps = " ".join(map(str, e.appearances))
         lines.append(f"{e.u} {e.v} {len(e.appearances)} {apps}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_bytes(path, ("\n".join(lines) + "\n").encode())
 
 
 def parse_native(path) -> TemporalGraph:
@@ -228,7 +263,7 @@ def write_cover(cover: Cover, path) -> None:
         raise OutOfRangeVertexError(f"cover {cover!r} is not iterable") from None
     # %d writes an integer type such as bool as the integer it stands for
     lines = ["%d %d" % (v, t) for t, v in sorted(map(_time_then_vertex, cover))]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+    _write_bytes(path, ("\n".join(lines) + ("\n" if lines else "")).encode())
 
 
 def parse_cover(path) -> Cover:

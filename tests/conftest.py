@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -5,9 +6,47 @@ import pytest
 from swtvc import (
     GeneratorConfig,
     build_graph,
+    formats,
     generate_always_star,
     worst_case_acov_instance,
 )
+
+
+def open_descriptors():
+    """The sorted descriptor numbers the process holds open, or None where
+    neither ``/proc/self/fd`` nor ``/dev/fd`` lists them.  The listing's own
+    descriptor is among them: the lowest free one, the same number in two
+    listings of the same open descriptors, one more entry after a leak."""
+    for where in ("/proc/self/fd", "/dev/fd"):
+        try:
+            return sorted(map(int, os.listdir(where)))
+        except (OSError, ValueError):
+            pass
+    return None
+
+
+@pytest.fixture(autouse=True)
+def no_descriptor_left_open():
+    """Fail a test that leaves a descriptor open.  Dev mode's ResourceWarning
+    sees an io object that is never closed, not a raw descriptor."""
+    before = open_descriptors()
+    yield
+    if before is not None:
+        assert open_descriptors() == before, "the test left a descriptor open"
+
+
+def take_3_bytes_per_write(monkeypatch):
+    """Make each ``os.write`` the formats module makes write at most 3
+    bytes; the list returned gets one entry per call."""
+    calls = []
+    write = os.write
+
+    def write_3(fd, data):
+        calls.append(fd)
+        return write(fd, bytes(data[:3]))
+
+    monkeypatch.setattr(formats.os, "write", write_3)
+    return calls
 
 
 @pytest.fixture

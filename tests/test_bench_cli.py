@@ -32,7 +32,7 @@ from swtvc import formats
 from swtvc.bench import CSV_HEADER, compare_csv
 from swtvc.cli import cli_dispatch
 
-from conftest import random_star_graph
+from conftest import random_star_graph, take_3_bytes_per_write
 
 
 class TestMetrics:
@@ -415,6 +415,12 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == f"error: {big}: file of 17 bytes; at most 16 are read\n"
 
+    def test_directory_input_exits_2_naming_it(self, tmp_path, capsys):
+        assert cli_dispatch(["validate", "--input", str(tmp_path), "--delta", "1",
+                             "--cover", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
     @pytest.mark.parametrize("command", ["validate", "solve", "convert-snap"])
     def test_non_utf8_input_exits_2(self, tmp_path, capsys, periodic_worst_case,
                                     command):
@@ -484,3 +490,19 @@ class TestPinnedCliOutputs:
                              "--input", str(instance), "--output", str(cover),
                              "--validate"]) == 0
         assert sha256(cover) == digest
+
+
+def test_pinned_outputs_through_short_writes(tmp_path, monkeypatch):
+    """The pinned instance and a pinned cover, each written at most 3 bytes
+    per ``os.write``."""
+    calls = take_3_bytes_per_write(monkeypatch)
+    instance, cover = tmp_path / "dense.tg", tmp_path / "dense.cov"
+    assert cli_dispatch(["generate", "--family", "random-star", "--n", "300",
+                         "--t", "40", "--d", "299", "--seed", "2",
+                         "--output", str(instance)]) == 0
+    algo, delta, digest = PINNED_COVERS[1]
+    assert cli_dispatch(["solve", "--algo", algo, "--delta", str(delta),
+                         "--input", str(instance), "--output", str(cover)]) == 0
+    assert calls
+    assert sha256(instance) == PINNED_INSTANCE
+    assert sha256(cover) == digest

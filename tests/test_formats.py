@@ -25,9 +25,14 @@ from swtvc import (
     write_native,
 )
 from swtvc import formats
-from swtvc.bench import compare_csv
+from swtvc.bench import CSV_HEADER, BenchRecord, compare_csv, write_csv
 
-from conftest import random_general_graph, random_star_graph
+from conftest import (
+    open_descriptors,
+    random_general_graph,
+    random_star_graph,
+    take_3_bytes_per_write,
+)
 
 
 class TestNativeFormat:
@@ -122,14 +127,15 @@ class TestSizeLimit:
         assert convert_snap(path, bucket_seconds=3600).T == 27778
 
 
-class TestFileSizeLimit:
-    READERS = {
-        "parse_native": parse_native,
-        "parse_cover": parse_cover,
-        "convert_snap": convert_snap,
-        "compare_csv": lambda path: compare_csv(path, "star-acov", "star-sc"),
-    }
+READERS = {
+    "parse_native": parse_native,
+    "parse_cover": parse_cover,
+    "convert_snap": convert_snap,
+    "compare_csv": lambda path: compare_csv(path, "star-acov", "star-sc"),
+}
 
+
+class TestFileSizeLimit:
     @pytest.mark.parametrize("reader", READERS)
     def test_refused_before_decoding(self, tmp_path, monkeypatch, reader):
         monkeypatch.setattr(formats, "MAX_FILE_BYTES", 16)
@@ -137,7 +143,7 @@ class TestFileSizeLimit:
         path.write_bytes(b"0 1\n2 3\n4 5\n6 7\n\xff")  # 17 bytes, the last not UTF-8
         named = f"{path}: file of 17 bytes; at most 16 are read"
         with pytest.raises(TooLargeError, match=re.escape(named)):
-            self.READERS[reader](path)
+            READERS[reader](path)
 
     @pytest.mark.parametrize("reader", READERS)
     def test_at_the_limit_is_read(self, tmp_path, monkeypatch, reader):
@@ -145,7 +151,7 @@ class TestFileSizeLimit:
         path = tmp_path / "big"
         path.write_bytes(b"0 1\n2 3\n4 5\n6 7\n\xff")
         with pytest.raises(ParseError, match="line 5: input is not UTF-8 text"):
-            self.READERS[reader](path)
+            READERS[reader](path)
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
     def test_pipe_with_no_size_is_read(self, tmp_path, monkeypatch):
@@ -161,6 +167,101 @@ class TestFileSizeLimit:
         writer.start()
         assert parse_cover(fifo) == {(0, 1), (2, 3)}
         writer.join(5)
+
+
+# a file each reader accepts
+READABLE = {
+    "parse_native": b"2 1 3\n0 1 2 1 3\n",
+    "parse_cover": b"0 1\n1 3\n",
+    "convert_snap": b"a b 0\nb c 3600\n",
+    "compare_csv": (",".join(CSV_HEADER) + "\r\ng,star-sc,3,4,true,1.0,1\r\n"
+                    "g,star-acov,3,3,true,2.0,1\r\n").encode(),
+}
+
+WRITERS = {
+    "write_native": lambda path: write_native(build_graph(2, 3, [(0, 1, [1, 3])]), path),
+    "write_cover": lambda path: write_cover({(0, 1), (1, 3)}, path),
+    # a non-ASCII name, and one that holds a surrogate escape and needs quotes
+    "write_csv": lambda path: write_csv(
+        [BenchRecord("é.tg", "star-sc", 3, 4, True, 1.25, 1),
+         BenchRecord("g\udcff,1", "star-acov", 3, None, None, None, 1,
+                     status="error:BadDeltaError")], path),
+}
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_short_writes_leave_the_same_bytes(tmp_path, monkeypatch, writer):
+    whole, short = tmp_path / "whole", tmp_path / "short"
+    WRITERS[writer](whole)
+    calls = take_3_bytes_per_write(monkeypatch)
+    WRITERS[writer](short)
+    data = whole.read_bytes()
+    assert len(calls) == -(-len(data) // 3) > 1
+    assert short.read_bytes() == data
+
+
+@pytest.mark.skipif(open_descriptors() is None, reason="no listing of open descriptors")
+class TestDescriptorsClosed:
+    """Every reader and writer closes the descriptor it opens, on success and
+    on each error, and opens none when it fails before opening."""
+
+    def check(self, call, error=None):
+        before = open_descriptors()
+        if error is None:
+            call()
+        else:
+            with pytest.raises(error):
+                call()
+        assert open_descriptors() == before
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_reader_success(self, tmp_path, reader):
+        path = tmp_path / "in"
+        path.write_bytes(READABLE[reader])
+        self.check(lambda: READERS[reader](path))
+
+    @pytest.mark.parametrize("reader", READERS)
+    @pytest.mark.parametrize("case", ["missing", "directory"])
+    def test_reader_cannot_open(self, tmp_path, reader, case):
+        path = tmp_path / "missing" if case == "missing" else tmp_path
+        self.check(lambda: READERS[reader](path), OSError)
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_reader_too_large(self, tmp_path, monkeypatch, reader):
+        monkeypatch.setattr(formats, "MAX_FILE_BYTES", 4)
+        path = tmp_path / "in"
+        path.write_bytes(READABLE[reader])
+        self.check(lambda: READERS[reader](path), TooLargeError)
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_reader_not_utf8(self, tmp_path, reader):
+        path = tmp_path / "in"
+        path.write_bytes(READABLE[reader] + b"\xff\n")
+        self.check(lambda: READERS[reader](path), ParseError)
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_writer_success(self, tmp_path, writer):
+        path = tmp_path / "out"
+        self.check(lambda: WRITERS[writer](path))
+        assert path.stat().st_size > 0
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    @pytest.mark.parametrize("case", ["directory", "missing-parent"])
+    def test_writer_cannot_open(self, tmp_path, writer, case):
+        path = tmp_path if case == "directory" else tmp_path / "missing" / "out"
+        self.check(lambda: WRITERS[writer](path), OSError)
+
+    def test_cover_element_check_opens_nothing(self, tmp_path):
+        path = tmp_path / "c.cov"
+        self.check(lambda: write_cover({(0, "x")}, path), OutOfRangeLabelError)
+        assert not path.exists()
+
+
+@pytest.mark.parametrize("reader", READERS)
+def test_directory_error_names_its_path(tmp_path, reader):
+    with pytest.raises(IsADirectoryError) as info:
+        READERS[reader](tmp_path)
+    assert str(info.value) == f"[Errno 21] Is a directory: '{tmp_path}'"
 
 
 class TestConvertSnap:
