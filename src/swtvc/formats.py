@@ -25,12 +25,17 @@ element that is not a pair of integers before it opens the file, so
 
 Every file swtvc reads or writes goes through one of two helpers built
 on os-level calls, with no io object between.  ``_read_text`` reads a
-file whole, after one size check: a file of more than ``MAX_FILE_BYTES``
-is a TooLargeError naming its path and size, raised before any byte is
-read or decoded.  ``_write_bytes`` writes the bytes it is given, so no
-platform translates line ends: native and cover files are UTF-8 with
-``\n`` line ends everywhere.  An OSError names the path as ``open()``
-does.
+file whole, up to ``MAX_FILE_BYTES``: a file whose size is larger is a
+TooLargeError naming its path and size, raised before any byte is read
+or decoded, and a pipe or device with no size is one once more bytes
+than that have arrived.  ``_write_bytes`` writes the bytes it is given,
+so no platform translates line ends: native and cover files are UTF-8
+with ``\n`` line ends everywhere.  It writes over an existing file in
+place and then cuts it to the new length, instead of truncating it to
+zero first, because on ext4 a file truncated to zero and written again
+is flushed at ``close()``.  A write that fails part-way leaves the bytes
+written so far and nothing after them.  Neither way is atomic.  An
+OSError names the path as ``open()`` does.
 """
 
 from __future__ import annotations
@@ -76,11 +81,13 @@ _BINARY = getattr(os, "O_BINARY", 0)
 
 
 def _read_text(path) -> str:
-    """The text of ``path``; a file of more than ``MAX_FILE_BYTES`` raises
-    ``TooLargeError`` before it is read, and input that is not UTF-8 raises
-    ``ParseError`` at the 1-based line of its first bad byte.  A pipe or
-    other file with no size is read whole.  An ``OSError`` names the path
-    as ``open()`` does, a directory included."""
+    """The text of ``path``; input that is not UTF-8 raises ``ParseError``
+    at the 1-based line of its first bad byte.  More than
+    ``MAX_FILE_BYTES`` raises ``TooLargeError``: a file whose size says so
+    before any byte is read, and a pipe, device or other file with no size
+    once that many bytes and one more have arrived, so no more than the
+    limit and one chunk are held.  An ``OSError`` names the path as
+    ``open()`` does, a directory included."""
     fd = os.open(path, os.O_RDONLY | _BINARY)
     try:
         st = os.fstat(fd)
@@ -92,10 +99,15 @@ def _read_text(path) -> str:
             raise TooLargeError(
                 f"{path}: file of {st.st_size} bytes; at most {MAX_FILE_BYTES} are read")
         # a regular file comes in one read and its EOF in a second; a pipe,
-        # which has no size, in chunks
-        chunks, want = [], st.st_size + 1 if st.st_size else 1 << 16
+        # which has no size, in chunks, counted against the limit
+        chunks, want, got = [], st.st_size + 1 if st.st_size else 1 << 16, 0
         while chunk := os.read(fd, want):
             chunks.append(chunk)
+            got += len(chunk)
+            if got > MAX_FILE_BYTES:
+                raise TooLargeError(
+                    f"{path}: more than {MAX_FILE_BYTES} bytes; at most"
+                    f" {MAX_FILE_BYTES} are read")
     finally:
         os.close(fd)
     data = b"".join(chunks)
@@ -107,13 +119,27 @@ def _read_text(path) -> str:
 
 
 def _write_bytes(path, data: bytes) -> None:
-    """Create or truncate ``path`` and write ``data`` to it, short writes
-    included."""
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | _BINARY, 0o666)
+    """Write ``data`` to ``path``, created if it is missing, short writes
+    included.  An existing file is written over in place and then cut to
+    the bytes written, never truncated to zero first: on ext4, truncating
+    a file to zero and writing it again makes ``close()`` start writeback
+    (its "replace-via-truncate" heuristic), which costs several times the
+    write.  A pipe or a device such as ``/dev/null`` is written and never
+    cut.  A write that fails part-way leaves the bytes written so far and
+    nothing after them, as truncating first would, and its ``OSError``
+    propagates.  Neither way is atomic: a reader can see the file between
+    the first write and the cut."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | _BINARY, 0o666)
     try:
         view = memoryview(data)
-        while view:
-            view = view[os.write(fd, view):]
+        try:
+            while view:
+                view = view[os.write(fd, view):]
+        finally:
+            written = len(data) - len(view)
+            st = os.fstat(fd)
+            if stat.S_ISREG(st.st_mode) and st.st_size > written:
+                os.ftruncate(fd, written)
     finally:
         os.close(fd)
 

@@ -1,3 +1,4 @@
+import errno
 import os
 import random
 
@@ -47,6 +48,24 @@ def take_3_bytes_per_write(monkeypatch):
 
     monkeypatch.setattr(formats.os, "write", write_3)
     return calls
+
+
+def run_out_of_space_after_3_bytes(monkeypatch):
+    """Make the first ``os.write`` the formats module makes write at most 3
+    bytes and every later one raise ``OSError(ENOSPC)``, as a disk that
+    fills part-way does.  The list returned gets each error raised."""
+    raised, write, first = [], os.write, True
+
+    def write_then_fail(fd, data):
+        nonlocal first
+        if not first:
+            raised.append(OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)))
+            raise raised[-1]
+        first = False
+        return write(fd, bytes(data[:3]))
+
+    monkeypatch.setattr(formats.os, "write", write_then_fail)
+    return raised
 
 
 @pytest.fixture

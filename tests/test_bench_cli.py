@@ -491,6 +491,21 @@ class TestPinnedCliOutputs:
                              "--validate"]) == 0
         assert sha256(cover) == digest
 
+    def test_over_longer_outputs(self, instance, tmp_path):
+        """Generate and solve into files that exist and are longer."""
+        tg, cover = tmp_path / "dense.tg", tmp_path / "dense.cov"
+        stale = instance.read_bytes() + b"0 1 1 1\n" * 100
+        tg.write_bytes(stale)
+        cover.write_bytes(stale)
+        assert cli_dispatch(["generate", "--family", "random-star", "--n", "300",
+                             "--t", "40", "--d", "299", "--seed", "2",
+                             "--output", str(tg)]) == 0
+        assert sha256(tg) == PINNED_INSTANCE
+        for algo, delta, digest in PINNED_COVERS[:2]:
+            assert cli_dispatch(["solve", "--algo", algo, "--delta", str(delta),
+                                 "--input", str(tg), "--output", str(cover)]) == 0
+            assert sha256(cover) == digest
+
 
 def test_pinned_outputs_through_short_writes(tmp_path, monkeypatch):
     """The pinned instance and a pinned cover, each written at most 3 bytes

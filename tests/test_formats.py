@@ -1,5 +1,6 @@
 import os
 import re
+import stat
 import threading
 
 import pytest
@@ -26,11 +27,13 @@ from swtvc import (
 )
 from swtvc import formats
 from swtvc.bench import CSV_HEADER, BenchRecord, compare_csv, write_csv
+from swtvc.cli import cli_dispatch
 
 from conftest import (
     open_descriptors,
     random_general_graph,
     random_star_graph,
+    run_out_of_space_after_3_bytes,
     take_3_bytes_per_write,
 )
 
@@ -154,19 +157,62 @@ class TestFileSizeLimit:
             READERS[reader](path)
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
-    def test_pipe_with_no_size_is_read(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(formats, "MAX_FILE_BYTES", 1)
+    def test_pipe_past_the_limit_raises(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(formats, "MAX_FILE_BYTES", 1000)
         fifo = tmp_path / "cover.fifo"
         os.mkfifo(fifo)
+        writer = feed_fifo(fifo, b"0 1\n" * (1 << 18))  # 1 MiB
+        named = f"{fifo}: more than 1000 bytes; at most 1000 are read"
+        with pytest.raises(TooLargeError, match=re.escape(named)):
+            parse_cover(fifo)
+        writer.join(5)
 
-        def feed():
-            with open(fifo, "w") as f:
-                f.write("0 1\n2 3\n")
-
-        writer = threading.Thread(target=feed, daemon=True)
-        writer.start()
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_pipe_at_the_limit_is_read(self, tmp_path, monkeypatch):
+        data = b"0 1\n2 3\n"
+        monkeypatch.setattr(formats, "MAX_FILE_BYTES", len(data))
+        fifo = tmp_path / "cover.fifo"
+        os.mkfifo(fifo)
+        writer = feed_fifo(fifo, data)
         assert parse_cover(fifo) == {(0, 1), (2, 3)}
         writer.join(5)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+    def test_endless_device_raises(self, monkeypatch):
+        monkeypatch.setattr(formats, "MAX_FILE_BYTES", 1000)
+        named = "/dev/zero: more than 1000 bytes; at most 1000 are read"
+        with pytest.raises(TooLargeError, match=re.escape(named)):
+            parse_cover("/dev/zero")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+    def test_endless_device_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(formats, "MAX_FILE_BYTES", 1000)
+        cover = tmp_path / "g.cov"
+        cover.write_bytes(b"")
+        assert cli_dispatch(["validate", "--input", "/dev/zero", "--delta", "1",
+                             "--cover", str(cover)]) == 2
+        assert capsys.readouterr().err == (
+            "error: /dev/zero: more than 1000 bytes; at most 1000 are read\n")
+
+
+def feed_fifo(fifo, data):
+    """Start and return a thread that writes ``data`` into ``fifo``; a
+    reader that stops early breaks the pipe, which ends the thread."""
+
+    def feed():
+        fd = os.open(fifo, os.O_WRONLY)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+        except BrokenPipeError:
+            pass
+        finally:
+            os.close(fd)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    return writer
 
 
 # a file each reader accepts
@@ -198,6 +244,86 @@ def test_short_writes_leave_the_same_bytes(tmp_path, monkeypatch, writer):
     data = whole.read_bytes()
     assert len(calls) == -(-len(data) // 3) > 1
     assert short.read_bytes() == data
+
+
+def is_char_device(path):
+    try:
+        return stat.S_ISCHR(os.stat(path).st_mode)
+    except OSError:
+        return False
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+class TestRewrite:
+    """A writer leaves exactly its new bytes, whatever the path held."""
+
+    def written(self, tmp_path, writer):
+        fresh = tmp_path / "fresh"
+        WRITERS[writer](fresh)
+        return fresh.read_bytes()
+
+    @pytest.mark.parametrize("old", ["longer", "shorter", "same-length"])
+    def test_over_an_existing_file(self, tmp_path, writer, old):
+        data = self.written(tmp_path, writer)
+        size = {"longer": len(data) + 100, "shorter": len(data) // 2,
+                "same-length": len(data)}[old]
+        path = tmp_path / "out"
+        path.write_bytes(b"x" * size)
+        WRITERS[writer](path)
+        assert path.read_bytes() == data
+
+    def test_into_a_fifo(self, tmp_path, writer):
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("no named pipes")
+        data = self.written(tmp_path, writer)
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()),
+                                  daemon=True)
+        reader.start()
+        WRITERS[writer](fifo)
+        reader.join(5)
+        assert got == [data]
+
+    def test_into_a_device(self, writer):
+        if not is_char_device(os.devnull):
+            pytest.skip("no null device")
+        WRITERS[writer](os.devnull)
+
+    def test_device_reporting_a_size_is_not_cut(self, monkeypatch, writer):
+        """Some systems report the unread bytes of a pipe as its size; a
+        file that is not regular is never cut, whatever size it reports."""
+        if not is_char_device(os.devnull):
+            pytest.skip("no null device")
+        fstat = os.fstat
+
+        def fstat_with_size(fd):
+            st = fstat(fd)
+            return os.stat_result(st[:6] + (1 << 20,) + st[7:])
+
+        monkeypatch.setattr(formats.os, "fstat", fstat_with_size)
+        WRITERS[writer](os.devnull)
+
+    @pytest.mark.parametrize("old", ["none", "longer"])
+    def test_failed_write_leaves_what_was_written(self, tmp_path, monkeypatch,
+                                                  writer, old):
+        data = self.written(tmp_path, writer)
+        path = tmp_path / "out"
+        if old == "longer":
+            path.write_bytes(b"x" * (len(data) + 100))
+        raised = run_out_of_space_after_3_bytes(monkeypatch)
+        with pytest.raises(OSError) as info:
+            WRITERS[writer](path)
+        assert [info.value] == raised
+        assert path.read_bytes() == data[:3]
+
+
+def test_empty_cover_over_a_file_leaves_it_empty(tmp_path):
+    path = tmp_path / "c.cov"
+    path.write_bytes(b"0 1\n" * 50)
+    write_cover(set(), path)
+    assert path.read_bytes() == b""
 
 
 @pytest.mark.skipif(open_descriptors() is None, reason="no listing of open descriptors")
@@ -244,6 +370,21 @@ class TestDescriptorsClosed:
         path = tmp_path / "out"
         self.check(lambda: WRITERS[writer](path))
         assert path.stat().st_size > 0
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_writer_rewrite(self, tmp_path, writer):
+        path = tmp_path / "out"
+        path.write_bytes(b"x" * 1000)
+        self.check(lambda: WRITERS[writer](path))
+        assert 0 < path.stat().st_size < 1000
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_writer_fails_part_way(self, tmp_path, monkeypatch, writer):
+        path = tmp_path / "out"
+        path.write_bytes(b"x" * 1000)
+        run_out_of_space_after_3_bytes(monkeypatch)
+        self.check(lambda: WRITERS[writer](path), OSError)
+        assert path.stat().st_size == 3
 
     @pytest.mark.parametrize("writer", WRITERS)
     @pytest.mark.parametrize("case", ["directory", "missing-parent"])
