@@ -181,67 +181,81 @@ def d1_approx_solve(g: TemporalGraph, delta: int) -> Cover:
     only ``range(t, top + 1)`` in one C-level ``set.update`` per edge.
 
     The open demands are found with a bucket queue, ``wait``, one list of
-    edge ids per window start.  An edge waits first at its first demand
-    start, and again one past each run of starts a settle adds to its set,
-    so every edge with an uncovered demand at t waits at t.  At start t the
-    list is sorted in place, so edges are taken in increasing id order, an
-    edge already covered at t is skipped, and an edge with no appearance in
-    the window moves on to its next demand start.  Nothing joins
-    ``wait[t]`` while t is handled.  The work per start is one sort of the
-    edges waiting there and two bisections per edge not yet covered; a
-    covered demand is never visited on its own.
+    edge ids per window start.  An edge waits only at starts where it has a
+    demand: first at its first demand start, and after each settle at its
+    first demand start past the settled run, ``max(top + 1, a - delta + 1)``
+    for its first label ``a`` after ``top``, found by one bisection; an
+    edge with no demand left waits nowhere.  So every edge with an
+    uncovered demand at t waits at t.  At start t the list, unless empty,
+    is sorted in place, so edges are taken in increasing id order and an
+    edge already covered at t is skipped.  Nothing joins ``wait[t]`` while
+    t is handled.  The work per start is one sort of the edges waiting
+    there and two bisections per edge not yet covered, and one bisection
+    per settle; a covered demand is never visited on its own.
     """
     _check_delta(g.T, delta)
     last_start = g.T - delta + 1
     edges, index = g.edges, g.time_index
+    degree = list(map(len, g.adjacency))
     done = [set() for _ in edges]  # eid -> covered window starts
     wait = [[] for _ in range(last_start + 1)]  # start -> waiting edge ids
     for eid, (_, _, apps) in enumerate(edges):
         wait[max(1, apps[0] - delta + 1)].append(eid)
 
     cover = set()
-    for t in range(1, last_start + 1):
-        eids = wait[t]
+    for t, eids in enumerate(wait):
+        if not eids:
+            continue
         eids.sort()
         for eid in eids:
             if t in done[eid]:
                 continue
-            edge = edges[eid]
-            apps = edge.appearances
+            u, v, apps = edges[eid]
+            # the edge waits only at demand starts, so its window [t, t+delta-1]
+            # holds labels lo..hi-1
             lo = bisect_left(apps, t)
             hi = bisect_right(apps, t + delta - 1, lo)
-            if lo == hi:
-                # no demand at t: wait at the edge's next demand start
-                if lo < len(apps):
-                    wait[apps[lo] - delta + 1].append(eid)
-                continue
-            ends = (edge.u, edge.v)
-            in_window = apps[lo:hi]
 
-            # the snapshot lists edge ids in increasing order
-            picked = None
-            for tp in reversed(in_window):
-                top = min(tp, last_start)
+            # the latest in-window step with an adjacent edge still open
+            # around it; the snapshot lists edge ids in increasing order
+            host = None
+            for i in range(hi - 1, lo - 1, -1):
+                tp = apps[i]
+                top = tp if tp < last_start else last_start
                 for fid in index[tp]:
                     if fid != eid and top not in done[fid]:
                         fu, fv, _ = edges[fid]
-                        if fu in ends or fv in ends:
-                            picked = (fu if fu in ends else fv, tp)
+                        if fu == u or fu == v:
+                            host = fu
                             break
-                if picked:
+                        if fv == u or fv == v:
+                            host = fv
+                            break
+                if host is not None:
                     break
-            if picked is None:
-                picked = (chosen_endpoint(g, eid), in_window[-1])
+            else:
+                # no partner: chosen_endpoint's rule at the last label
+                host = v if degree[v] > degree[u] else u
+                tp = apps[hi - 1]
+                top = tp if tp < last_start else last_start
 
-            cover.add(VertexAppearance(*picked))
-            v, tp = picked
-            top = min(tp, last_start)
+            # tuple.__new__ skips the namedtuple's Python-level __new__.  A
+            # pick never repeats: it settles every edge that could make it.
+            cover.add(tuple.__new__(VertexAppearance, (host, tp)))
             # tp <= t+delta-1, so the starts of tp before t are all covered
             starts = range(t, top + 1)
             for fid in index[tp]:
-                fu, fv, _ = edges[fid]
-                if (fu == v or fv == v) and top not in done[fid]:
-                    done[fid].update(starts)
+                fu, fv, fapps = edges[fid]
+                if fu == host or fv == host:
+                    covered = done[fid]
+                    if top in covered:
+                        continue
+                    covered.update(starts)
+                    # wait at the first demand start past top, if any:
+                    # max(top + 1, a - delta + 1) for the first label a after top
                     if top < last_start:
-                        wait[top + 1].append(fid)
+                        j = bisect_right(fapps, top)
+                        if j < len(fapps):
+                            start = fapps[j] - delta + 1
+                            wait[start if start > top else top + 1].append(fid)
     return cover

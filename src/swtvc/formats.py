@@ -34,7 +34,9 @@ with ``\n`` line ends everywhere.  It writes over an existing file in
 place and then cuts it to the new length, instead of truncating it to
 zero first, because on ext4 a file truncated to zero and written again
 is flushed at ``close()``.  A write that fails part-way leaves the bytes
-written so far and nothing after them.  Neither way is atomic.  An
+written so far and nothing after them.  Neither way is atomic.  The
+file stdout writes to, such as ``/dev/stdout`` sent to a file, is written
+through ``sys.stdout`` instead, in order with what it prints.  An
 OSError names the path as ``open()`` does.
 """
 
@@ -43,6 +45,7 @@ from __future__ import annotations
 import errno
 import os
 import stat
+import sys
 from operator import ge
 
 from .errors import (
@@ -118,6 +121,18 @@ def _read_text(path) -> str:
         raise ParseError(len(_split_lines(before)), "input is not UTF-8 text") from None
 
 
+def _stdout_buffer(st):
+    """``sys.stdout``'s binary buffer when ``st`` is the file it writes to
+    (same device and inode), else None.  No stat is made when
+    ``sys.stdout`` has no file descriptor, as under ``redirect_stdout``."""
+    try:
+        fd = sys.stdout.fileno()
+        buffer = sys.stdout.buffer
+    except (AttributeError, OSError, ValueError):
+        return None
+    return buffer if os.path.samestat(st, os.fstat(fd)) else None
+
+
 def _write_bytes(path, data: bytes) -> None:
     """Write ``data`` to ``path``, created if it is missing, short writes
     included.  An existing file is written over in place and then cut to
@@ -128,16 +143,28 @@ def _write_bytes(path, data: bytes) -> None:
     cut.  A write that fails part-way leaves the bytes written so far and
     nothing after them, as truncating first would, and its ``OSError``
     propagates.  Neither way is atomic: a reader can see the file between
-    the first write and the cut."""
+    the first write and the cut.
+
+    The file stdout writes to, such as ``/dev/stdout`` sent to a file, is
+    written through ``sys.stdout``'s buffer after a flush, and never cut:
+    opened anew it would be written from offset 0, and what stdout writes
+    before and after would land over the data."""
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | _BINARY, 0o666)
     try:
+        st = os.fstat(fd)
+        stdout = _stdout_buffer(st)
+        if stdout is not None:
+            sys.stdout.flush()
+            stdout.write(data)
+            stdout.flush()
+            return
         view = memoryview(data)
         try:
             while view:
                 view = view[os.write(fd, view):]
         finally:
+            # written from offset 0, a longer file keeps its size
             written = len(data) - len(view)
-            st = os.fstat(fd)
             if stat.S_ISREG(st.st_mode) and st.st_size > written:
                 os.ftruncate(fd, written)
     finally:

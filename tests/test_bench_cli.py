@@ -189,12 +189,13 @@ def test_compare_csv_accepts_or_raises_tvc_error_on_any_bytes(tmp_path_factory, 
         pass
 
 
-def run_entry_point(argv, cwd, **env):
-    """``python -m swtvc.cli argv`` in ``cwd``, as a shell runs it."""
+def run_entry_point(argv, cwd, stdout=subprocess.PIPE, **env):
+    """``python -m swtvc.cli argv`` in ``cwd``, as a shell runs it; stdout
+    goes to a pipe unless another file is given."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     return subprocess.run([sys.executable, "-m", "swtvc.cli", *argv], cwd=cwd,
                           env=dict(os.environ, PYTHONPATH=src, **env),
-                          capture_output=True, timeout=60)
+                          stdout=stdout, stderr=subprocess.PIPE, timeout=60)
 
 
 class TestCli:
@@ -439,6 +440,40 @@ class TestCli:
         err = capsys.readouterr().err
         assert "error: line 2: input is not UTF-8 text" in err
         assert "Traceback" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+class TestOutputIsStdout:
+    """``--output /dev/stdout`` with stdout sent to a file leaves in it what
+    a pipe shows: the output's bytes, then the status line."""
+
+    ARGV = {
+        "solve": ["solve", "--algo", "star-acov", "--delta", "3",
+                  "--input", "p.tg", "--output"],
+        "generate": ["generate", "--n", "6", "--t", "5", "--seed", "1",
+                     "--output"],
+    }
+
+    @pytest.mark.parametrize("mode", ["wb", "ab"], ids=["redirect", "append"])
+    @pytest.mark.parametrize("command", ARGV)
+    def test_file_holds_what_a_pipe_shows(self, tmp_path, periodic_worst_case,
+                                          command, mode):
+        write_native(periodic_worst_case, tmp_path / "p.tg")
+        argv = self.ARGV[command]
+        written = run_entry_point([*argv, "written"], tmp_path)
+        assert written.returncode == 0, written.stderr
+        piped = run_entry_point([*argv, "/dev/stdout"], tmp_path)
+        assert piped.returncode == 0, piped.stderr
+        status = written.stdout.replace(b"written", b"/dev/stdout")
+        assert piped.stdout == (tmp_path / "written").read_bytes() + status
+
+        out = tmp_path / "out"
+        out.write_bytes(b"before\n")
+        with open(out, mode) as stdout:
+            proc = run_entry_point([*argv, "/dev/stdout"], tmp_path, stdout=stdout)
+        assert proc.returncode == 0, proc.stderr
+        before = b"before\n" if mode == "ab" else b""
+        assert out.read_bytes() == before + piped.stdout
 
 
 # sha256 of the instance ``generate --family random-star --n 300 --t 40 --d 299

@@ -353,9 +353,12 @@ class TestD1Approx:
         assert len(cover) == 3
 
 
-def adjacency_d1(g, delta):
+def adjacency_d1(g, delta, reached=None):
     """Reference: the earlier d-1-approx, which tests activity with
-    per-edge appearance sets and scans each edge's underlying neighbours."""
+    per-edge appearance sets and scans each edge's underlying neighbours.
+
+    With ``reached``, counts its picks by kind and its settles by what the
+    settled edge has left (see ``TestD1ApproxDifferential.REACHED``)."""
     T = g.T
     last_start = T - delta + 1
     app_sets = [frozenset(e.appearances) for e in g.edges]
@@ -384,12 +387,22 @@ def adjacency_d1(g, delta):
         open_starts = ledger[fid]
         return any(w in open_starts for w in range(lo, hi + 1))
 
+    def count_settle(fid, top):
+        """Count a settle that covers ``fid``'s starts up to ``top``."""
+        later = [a for a in g.edges[fid].appearances if a > top]
+        if top == last_start or not later:
+            reached["no demand left"] += 1
+        elif later[0] - top > delta:
+            reached["gap"] += 1
+
     def settle(v, tp):
         for fid in g.adjacency[v]:
             if tp in app_sets[fid]:
                 lo = max(1, tp - delta + 1)
                 hi = min(tp, last_start)
                 open_starts = ledger[fid]
+                if reached is not None and hi in open_starts:
+                    count_settle(fid, hi)
                 for w in range(lo, hi + 1):
                     open_starts.discard(w)
 
@@ -415,6 +428,10 @@ def adjacency_d1(g, delta):
                 break
         if picked is None:
             picked = (chosen_endpoint(g, eid), in_window[-1])
+            if reached is not None:
+                reached["v hosts"] += picked[0] == edge.v
+        elif reached is not None:
+            reached["partner"] += 1
 
         cover.add(VertexAppearance(*picked))
         settle(*picked)
@@ -422,26 +439,47 @@ def adjacency_d1(g, delta):
 
 
 class TestD1ApproxDifferential:
-    """d-1-approx returns the same set as the adjacency-scan reference."""
+    """d-1-approx returns the same set as the adjacency-scan reference, of
+    ``VertexAppearance`` elements, and each corpus reaches every kind of
+    pick and settle, counted on the reference side: a pick shared with a
+    partner edge, a fallback hosted by ``v``, a settle whose edge's next
+    label lies more than delta past the settled run, and a settle after
+    which the edge has no demand left."""
 
-    def check(self, g, deltas=None):
+    REACHED = ("partner", "v hosts", "gap", "no demand left")
+
+    def check(self, g, deltas=None, reached=None):
         for delta in deltas or range(1, max(g.T, 1) + 1):
-            assert d1_approx_solve(g, delta) == adjacency_d1(g, delta)
+            cover = d1_approx_solve(g, delta)
+            assert cover == adjacency_d1(g, delta, reached)
+            assert all(type(va) is VertexAppearance for va in cover)
 
     def test_random_general_graphs(self):
+        reached = dict.fromkeys(self.REACHED, 0)
         for seed in range(150):
-            self.check(random_general_graph(seed, n=8, T=14, max_edges=12))
+            self.check(random_general_graph(seed, n=8, T=14, max_edges=12),
+                       None, reached)
+        assert all(reached.values()), reached
 
     def test_random_star_graphs(self):
+        reached = dict.fromkeys(self.REACHED, 0)
         for seed in range(60):
-            self.check(random_star_graph(seed, n=10, T=14, d=5, empty_prob=0.2))
+            self.check(random_star_graph(seed, n=10, T=14, d=5, empty_prob=0.2),
+                       None, reached)
+        assert all(reached.values()), reached
 
     def test_worst_case_families(self):
+        reached = dict.fromkeys(self.REACHED, 0)
         for delta in range(2, 6):
             for reps in (1, 3):
-                self.check(worst_case_acov_instance(delta, reps))
-                self.check(worst_case_acov_instance(delta, reps, 3 * delta))
-            self.check(worst_case_sc_instance(delta))
+                self.check(worst_case_acov_instance(delta, reps), None, reached)
+                self.check(worst_case_acov_instance(delta, reps, 3 * delta),
+                           None, reached)
+            self.check(worst_case_sc_instance(delta), None, reached)
+        # every edge is (0, leaf) and vertex 0 has the larger degree or a
+        # tie, so no fallback is hosted by v
+        assert reached.pop("v hosts") == 0
+        assert all(reached.values()), reached
 
     def test_empty_graphs(self):
         self.check(build_graph(3, 5, []))
@@ -450,12 +488,15 @@ class TestD1ApproxDifferential:
     def test_long_window_stars(self):
         # settles clipped at the current start over long windows, and picks
         # past T - delta + 1 with delta much larger than d
+        reached = dict.fromkeys(self.REACHED, 0)
         for seed in range(3):
             g = generate_always_star(GeneratorConfig(n=40, T=90, d=8, seed=seed))
-            self.check(g, (1, 2, 3, 17, 64, 90))
+            self.check(g, (1, 2, 3, 17, 64, 90), reached)
+        assert all(reached.values()), reached
 
     def test_bursty_sparse_graphs(self):
         # each present pair has 1-5 labels within 6 steps of a random start
+        reached = dict.fromkeys(self.REACHED, 0)
         for seed in range(3):
             rng = random.Random(seed)
             edge_list = []
@@ -464,19 +505,41 @@ class TestD1ApproxDifferential:
                     start = rng.randint(1, 395)
                     labels = rng.sample(range(start, start + 6), rng.randint(1, 5))
                     edge_list.append((u, v, sorted(labels)))
-            self.check(build_graph(12, 400, edge_list), (1, 5, 24, 100, 400))
+            self.check(build_graph(12, 400, edge_list), (1, 5, 24, 100, 400), reached)
+        assert all(reached.values()), reached
 
     def test_star_wide_window_shape(self):
         # the full-size star-wide-window benchmark shape: delta >> d
+        reached = dict.fromkeys(self.REACHED, 0)
         for seed in (7, 8):
             g = generate_always_star(GeneratorConfig(n=1000, T=200, d=20, seed=seed))
-            self.check(g, (64,))
+            self.check(g, (64,), reached)
+        assert all(reached.values()), reached
 
     def test_star_dense_narrow_shape(self):
         # the full-size star-dense-narrow benchmark shape: d >> delta
+        reached = dict.fromkeys(self.REACHED, 0)
         for seed in (7, 8):
             g = generate_always_star(GeneratorConfig(n=400, T=300, d=60, seed=seed))
-            self.check(g, (3,))
+            self.check(g, (3,), reached)
+        assert all(reached.values()), reached
+
+    def test_exact_small_shapes(self):
+        # the exact-small benchmark rungs: general graphs of 8 pairs with 8
+        # labels each over T=24 at delta 3, and the star rungs at delta 3, 4
+        reached = dict.fromkeys(self.REACHED, 0)
+        rng = random.Random(24)
+        for _ in range(24):
+            pairs = list(combinations(range(7), 2))
+            rng.shuffle(pairs)
+            edge_list = [(u, v, sorted(rng.sample(range(1, 25), 8)))
+                         for u, v in pairs[:8]]
+            self.check(build_graph(7, 24, edge_list), (3,), reached)
+        for seed in range(6):
+            for n, T, d in ((3, 6, 2), (6, 12, 2), (8, 12, 3), (6, 16, 2)):
+                g = generate_always_star(GeneratorConfig(n=n, T=T, d=d, seed=seed))
+                self.check(g, (3, 4), reached)
+        assert all(reached.values()), reached
 
 
 class TestAllSolversValid:

@@ -1,7 +1,10 @@
+import io
 import os
 import re
 import stat
+import sys
 import threading
+from contextlib import redirect_stdout
 
 import pytest
 from hypothesis import given, settings
@@ -304,6 +307,32 @@ class TestRewrite:
 
         monkeypatch.setattr(formats.os, "fstat", fstat_with_size)
         WRITERS[writer](os.devnull)
+
+    def test_into_the_file_of_stdout(self, tmp_path, monkeypatch, writer):
+        """Written through stdout, after what it holds and before what it
+        writes next, as ``--output /dev/stdout > file`` needs."""
+        data = self.written(tmp_path, writer)
+        path = tmp_path / "out"
+        with open(path, "w", encoding="utf-8", newline="") as stdout:
+            with monkeypatch.context() as patch:
+                patch.setattr(sys, "stdout", stdout)
+                print("before")
+                WRITERS[writer](path)
+                print("after")
+        assert path.read_bytes() == b"before\n" + data + b"after\n"
+
+    def test_no_stat_of_stdout_without_a_descriptor(self, tmp_path, monkeypatch,
+                                                    writer):
+        data = self.written(tmp_path, writer)
+        fstat, stats = os.fstat, []
+        monkeypatch.setattr(formats.os, "fstat",
+                            lambda fd: stats.append(fd) or fstat(fd))
+        path = tmp_path / "out"
+        with redirect_stdout(io.StringIO()) as text:
+            WRITERS[writer](path)
+        assert path.read_bytes() == data
+        assert text.getvalue() == ""
+        assert len(stats) == 1
 
     @pytest.mark.parametrize("old", ["none", "longer"])
     def test_failed_write_leaves_what_was_written(self, tmp_path, monkeypatch,
