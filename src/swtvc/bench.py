@@ -195,17 +195,11 @@ def compare_csv(path, algo_a: str, algo_b: str):
         if r["valid"] == "true":
             by_cell.setdefault((r["graph"], r["delta"]), {})[r["algo"]] = (
                 _number(r, "cover_size", line), _number(r, "time_ms_geomean", line))
-    sizes_a, sizes_b, times_a, times_b = [], [], [], []
-    for cell in by_cell.values():
-        if algo_a in cell and algo_b in cell:
-            (size_a, time_a), (size_b, time_b) = cell[algo_a], cell[algo_b]
-            sizes_a.append(size_a)
-            sizes_b.append(size_b)
-            times_a.append(time_a)
-            times_b.append(time_b)
-    if not sizes_a:
+    # (size A, time A, size B, time B) of each shared cell, in CSV order
+    shared = [(*cell[algo_a], *cell[algo_b]) for cell in by_cell.values()
+              if algo_a in cell and algo_b in cell]
+    if not shared:
         raise EmptyInputError(f"no common valid cells for {algo_a} and {algo_b}")
-    mean = lambda xs: sum(xs) / len(xs)
-    size_impr = improvement(mean(sizes_a), mean(sizes_b))
-    time_impr = improvement(mean(times_a), mean(times_b))
-    return size_impr, time_impr
+    size_a, time_a, size_b, time_b = (sum(column) / len(shared)
+                                      for column in zip(*shared))
+    return improvement(size_a, size_b), improvement(time_a, time_b)

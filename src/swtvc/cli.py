@@ -105,12 +105,18 @@ def _cmd_convert_snap(args):
     return 0
 
 
-def _report_invalid(g, witness):
-    """Print the uncovered demand ``validate_cover`` returned, the edge by
-    its endpoints."""
+def _report_validation(g, delta, cover, valid_line):
+    """Validate ``cover``: print ``valid_line`` and return 0, or print the
+    uncovered demand ``validate_cover`` found, the edge by its endpoints,
+    and return 1."""
+    witness = validate_cover(g, delta, cover)
+    if witness is None:
+        print(valid_line)
+        return 0
     e = g.edges[witness.edge]
     print(f"INVALID: uncovered demand edge=({e.u},{e.v}) "
           f"window_start={witness.window_start}")
+    return 1
 
 
 def _cmd_solve(args):
@@ -125,24 +131,13 @@ def _cmd_solve(args):
     if args.output:
         formats.write_cover(cover, args.output)
     print(f"{args.algo} delta={args.delta}: cover size {len(cover)}")
-    if args.validate:
-        witness = validate_cover(g, args.delta, cover)
-        if witness is not None:
-            _report_invalid(g, witness)
-            return 1
-        print("valid")
-    return 0
+    return _report_validation(g, args.delta, cover, "valid") if args.validate else 0
 
 
 def _cmd_validate(args):
     g = formats.parse_native(args.input)
     cover = formats.parse_cover(args.cover)
-    witness = validate_cover(g, args.delta, cover)
-    if witness is not None:
-        _report_invalid(g, witness)
-        return 1
-    print(f"valid cover of size {len(cover)}")
-    return 0
+    return _report_validation(g, args.delta, cover, f"valid cover of size {len(cover)}")
 
 
 def _cmd_bench(args):
@@ -185,15 +180,12 @@ def cli_dispatch(argv) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return _COMMANDS[args.command](args)
-    except TvcError as exc:
+    except (TvcError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         # only a bad argument value is a usage mistake; bad input files,
-        # non-star snapshots and exhausted budgets are not
+        # unreadable files, non-star snapshots and exhausted budgets are not
         if isinstance(exc, (BadDeltaError, BadConfigError)):
             print(f"run 'swtvc {args.command} --help' for usage", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

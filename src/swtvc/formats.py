@@ -7,7 +7,9 @@ Native format, line oriented text:
 Each (u, v) pair is on one line only.  Lines starting with '#' are
 comments; blank lines are ignored.  Lines end at ``\n``, ``\r\n`` or
 ``\r`` only, the breaks the csv module counts, so a form feed or another
-Unicode separator inside a line is whitespace, not a line break.
+Unicode separator inside a line is whitespace, not a line break.  The
+fields of native and cover files are read with Python's ``int()``, so
+``+2``, ``1_0`` and non-ASCII decimal digits such as ``٣`` are integers.
 
 Each rule has one owner.  The parsers check the file syntax line by line:
 field counts, integers, ``u < v``, increasing labels and, in a native
@@ -237,6 +239,9 @@ def convert_snap(path, bucket_seconds: int = 3600, keep_gaps: bool = True) -> Te
     first-appearance order.  Timestamps are bucketed relative to the
     dataset minimum; with ``keep_gaps`` empty buckets stay as empty
     snapshots, otherwise time steps are compacted to the nonempty buckets.
+    An integer timestamp is read exactly; a form like ``1e3`` or ``3600.5``
+    goes through a float and is truncated, but a negative one such as
+    ``-0.5`` is a NegativeTimestampError naming its line, as ``-1`` is.
     Raises BadConfigError when ``bucket_seconds`` is not an integer of at
     least 1.
     """
@@ -254,9 +259,12 @@ def convert_snap(path, bucket_seconds: int = 3600, keep_gaps: bool = True) -> Te
             # a form like 1e3 or 3600.5; only it goes through a float, which
             # rounds integers past 2**53
             try:
-                ts = int(float(fields[2]))
+                x = float(fields[2])
+                ts = int(x)
             except (ValueError, OverflowError):  # not a number, nan, inf
                 raise ParseError(lineno, f"bad timestamp {fields[2]!r}") from None
+            if ts == 0 and x < 0:  # int() truncated a negative such as -0.5
+                ts = x
         if ts < 0:
             raise NegativeTimestampError(f"line {lineno}: timestamp {ts} < 0")
         if src == dst:

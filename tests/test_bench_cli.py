@@ -24,6 +24,7 @@ from swtvc import (
     improvement,
     run_benchmark,
     worst_case_acov_instance,
+    worst_case_sc_instance,
     write_csv,
     write_native,
     write_cover,
@@ -406,6 +407,30 @@ class TestCli:
         assert cli_dispatch(["convert-snap", "--input", str(raw),
                              "--output", str(tmp_path / "conv.tg")]) == 2
         assert "line 2: bad timestamp 'inf'" in capsys.readouterr().err
+
+    def test_convert_snap_negative_fraction_exits_2(self, tmp_path, capsys):
+        raw = tmp_path / "raw.txt"
+        raw.write_text("a b -0.5\nb c 3600\n")
+        conv = tmp_path / "conv.tg"
+        assert cli_dispatch(["convert-snap", "--input", str(raw),
+                             "--output", str(conv)]) == 2
+        assert capsys.readouterr().err == "error: line 1: timestamp -0.5 < 0\n"
+        assert not conv.exists()
+
+    def test_generate_worst_sc(self, tmp_path, capsys):
+        tg = tmp_path / "wsc.tg"
+        assert cli_dispatch(["generate", "--family", "worst-sc", "--delta", "3",
+                             "--output", str(tg)]) == 0
+        assert capsys.readouterr().out == f"wrote {tg}: n=2 m=1 T=5\n"
+        assert formats.parse_native(tg) == worst_case_sc_instance(3)
+
+    def test_bench_prints_a_skipped_cell(self, tmp_path, capsys):
+        # two disjoint edges at one step: star-sc raises NotAStarError
+        tg = tmp_path / "matching.tg"
+        write_native(build_graph(4, 3, [(0, 1, [1]), (2, 3, [1])]), tg)
+        assert cli_dispatch(["bench", "--inputs", str(tg), "--algos", "star-sc",
+                             "--delta", "2", "--output", str(tmp_path / "b.csv")]) == 0
+        assert f"{tg} star-sc: skipped_not_always_star\n" in capsys.readouterr().out
 
     def test_file_over_byte_limit_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(formats, "MAX_FILE_BYTES", 16)

@@ -469,6 +469,10 @@ class TestConvertSnap:
         path.write_text("1 2 -5\n")
         with pytest.raises(NegativeTimestampError):
             convert_snap(path)
+        # checked before int() truncates it to 0
+        path.write_text("1 2 0\n1 2 -0.5\n")
+        with pytest.raises(NegativeTimestampError, match=r"^line 2: timestamp -0.5 < 0$"):
+            convert_snap(path)
 
     @pytest.mark.parametrize("ts", ["inf", "-inf", "1e400", "nan", "x"])
     def test_unusable_timestamp(self, tmp_path, ts):
@@ -598,6 +602,12 @@ class TestParseErrorLines:
         assert self.line_of(parse_native, path) == 3
         path.write_text("\n# only comments\n")
         assert self.line_of(parse_native, path) == 1
+        path.write_text("2 1 3\n\n0 1 0\n")
+        with pytest.raises(ParseError, match=r"^line 3: edge line needs 'u v k t1 \.\.\. tk'$"):
+            parse_native(path)
+        path.write_text("2 1 3\n# reversed\n1 0 1 1\n")
+        with pytest.raises(ParseError, match=r"^line 3: endpoints must satisfy u < v, got 1 0$"):
+            parse_native(path)
 
     def test_snap(self, tmp_path):
         path = tmp_path / "raw.txt"
